@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"camc/internal/arch"
 	"camc/internal/core"
@@ -72,10 +73,15 @@ func TestScale64kBcast(t *testing.T) {
 	}
 	skipIfRaceExpensive(t, "x10")
 	const ranks = 65536
+	// The simulated latency is pinned to the bit: host-side speedups of
+	// the simulator or the measurement fence must not move it.
+	const want = 60189.91993627485
+	start := time.Now()
 	lat := measure.Collective(arch.KNL(), core.KindBcast, core.BcastKnomialRead(8), 4096,
 		measure.Options{Procs: ranks})
-	if lat <= 0 {
-		t.Fatalf("64k bcast latency %v, want > 0", lat)
+	wall := time.Since(start)
+	if lat != want {
+		t.Fatalf("64k bcast latency %v, want %v", lat, want)
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -85,5 +91,5 @@ func TestScale64kBcast(t *testing.T) {
 	if ms.HeapAlloc > 4<<30 {
 		t.Errorf("64k bcast left %d bytes live on the heap; sparse backing regressed", ms.HeapAlloc)
 	}
-	t.Logf("64k-rank bcast: %.1f us simulated, %d MiB live heap", lat, ms.HeapAlloc>>20)
+	t.Logf("64k-rank bcast: %v us simulated, %.2f s wall, %d MiB live heap", lat, wall.Seconds(), ms.HeapAlloc>>20)
 }

@@ -412,6 +412,28 @@ func TestRunOneGreenMatrix(t *testing.T) {
 	}
 }
 
+// TestRunOneRegressions replays the reproducers of fixed bugs through
+// the full differential + invariant harness; each must stay green.
+func TestRunOneRegressions(t *testing.T) {
+	for _, line := range []string{
+		// Seed-1 corpus spec 296: the gather root, reading from every
+		// rank for a full deadline without a heartbeat, was agreed dead
+		// with the killed rank. The survivors shrank without it, and when
+		// its reads finished it indexed the survivor communicator's
+		// liveness board with its old rank (index out of range [8] with
+		// length 7). It now exits as an excluded rank.
+		"arch=knl kind=gather algo=sequential-read size=262144 procs=9 root=8 seed=1712302316 ambient=8 faults=kill=0.4,killop=3,seed=431 deadline=2000",
+	} {
+		sp, err := ParseSpec(line)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if _, err := RunOne(sp); err != nil {
+			t.Errorf("%v", err)
+		}
+	}
+}
+
 // TestRunOneCatchesWrongRoot seeds a deliberate mismatch: running
 // bcast's reference against a different root's payload must fail the
 // differential check — proof the oracle actually bites.

@@ -386,6 +386,7 @@ func Run(cfg Config, body func(r *Rank)) (Result, error) {
 func (r *Rank) KillCheck() { r.killCheck() }
 
 func (r *Rank) killCheck() {
+	r.exitIfExcluded()
 	if r.killPoint <= 0 {
 		return
 	}
@@ -401,6 +402,26 @@ func (r *Rank) killCheck() {
 			b.MarkDead(r.Comm.BoardID(r.ID))
 		}
 		panic(liveness.Killed{Rank: r.ID})
+	}
+}
+
+// exitIfExcluded enforces fail-stop on a rank the survivors agreed dead
+// while it was in fact still running — a rank busy for a full deadline
+// inside a long kernel copy publishes no heartbeat and can be judged
+// stale. Once the communicator has shrunk without it, the rank must not
+// touch the node's liveness board or transport again: the board now
+// belongs to the survivor communicator and is numbered for it. The
+// excluded rank exits as if killed, like a falsely suspected process a
+// fail-stop detector terminates. Before any shrink the failed set is
+// empty and this is a no-op.
+func (r *Rank) exitIfExcluded() {
+	for _, f := range r.Comm.shrunkFailed {
+		if f == r.ID {
+			if rec := r.Tracer(); rec != nil {
+				rec.Instant(r.Lane(), trace.CatLiveness, "rank_excluded")
+			}
+			panic(liveness.Killed{Rank: r.ID})
+		}
 	}
 }
 
@@ -443,6 +464,7 @@ func (r *Rank) Agree(localErr error) error {
 	} else if localErr != nil {
 		return localErr // not a liveness failure: nothing to agree about
 	}
+	r.exitIfExcluded()
 	round := r.agreeRound
 	r.agreeRound++
 	rec := r.Tracer()

@@ -199,3 +199,48 @@ func (t *Transport) Barrier(sp *sim.Proc, me int) {
 		t.RecvCtl(sp, from, me, tagBarrier)
 	}
 }
+
+// barrierFromZero is Barrier's closed form for the one schedule whose
+// outcome is known without running it: every rank enters at t=0, with
+// no fault plan (no shm stalls) and no liveness board. All ranks then
+// leave at one instant and resume in a fixed order. It returns that
+// instant and the rank that resumes first; the others follow in
+// rotation order from it.
+//
+// The exit instant repeats one round's float arithmetic, in Barrier's
+// operation order: SendCtl's post, the message's readyAt, and
+// RecvCtl's sleep to readyAt plus its consume cost. Every rank sees the
+// same round because every rank enters at the same instant.
+func (t *Transport) barrierFromZero() (exit sim.Time, first int) {
+	p := t.nranks
+	lat := t.node.Arch.ShmLatency
+	now := 0.0
+	rounds := 0
+	for dist := 1; dist < p; dist <<= 1 {
+		sent := now + ctlCost
+		ready := (sent + lat) + 0 // + stall, zero without a fault plan
+		now = (sent + (ready - sent)) + ctlCost
+		rounds++
+	}
+	// Barrier's wake order is the rotation starting at rank
+	// 2^rounds − 1 (TestBarrierFromZeroMatchesBarrier pins it for every
+	// p through 1100).
+	return now, (1<<rounds - 1) % p
+}
+
+// EnterBarrierFromZero costs a t=0 Barrier entry in closed form (see
+// barrierFromZero) instead of exchanging its 2·p·⌈log2 p⌉ control
+// messages: the rank sleeps straight to the exit instant. Ranks below
+// the first-resuming rank yield once at t=0 first, so their wake-ups
+// queue behind the others' and the ranks resume in Barrier's order.
+// Every rank of the transport must call it at t=0, in spawn order.
+func (t *Transport) EnterBarrierFromZero(sp *sim.Proc, me int) {
+	if t.nranks == 1 {
+		return
+	}
+	exit, first := t.barrierFromZero()
+	if me < first {
+		sp.Yield()
+	}
+	sp.Sleep(exit)
+}

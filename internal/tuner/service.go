@@ -156,6 +156,11 @@ func (s *Service) validate(req *PlanRequest) (*arch.Profile, error) {
 	if req.Ambient < 0 {
 		return nil, fmt.Errorf("tuner: negative ambient %d", req.Ambient)
 	}
+	// One request must not be able to start an Autotune larger than the
+	// machine: the hardware-thread count bounds an intra-node job.
+	if req.Procs < 0 || req.Procs > prof.HWThreads() {
+		return nil, fmt.Errorf("tuner: procs %d outside 1..%d, the %s hardware threads", req.Procs, prof.HWThreads(), prof.Name)
+	}
 	if req.Procs == 0 {
 		req.Procs = prof.DefaultProcs
 	}

@@ -102,6 +102,39 @@ func TestPlanRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestPlanBoundsProcs: procs is bounded by the profile's hardware
+// threads (Sockets × CoresPerSocket × ThreadsPerCore), so no request can
+// start an Autotune larger than the machine; a rejected request never
+// reaches the tuner.
+func TestPlanBoundsProcs(t *testing.T) {
+	for _, c := range []struct {
+		arch  string
+		procs int
+		ok    bool
+	}{
+		{"knl", 0, true}, // architecture default
+		{"knl", 1, true},
+		{"knl", 272, true},
+		{"knl", 273, false},
+		{"knl", -1, false},
+		{"knl", 10000000, false},
+		{"broadwell", 28, true},
+		{"broadwell", 29, false},
+		{"power8", 160, true},
+		{"power8", 161, false},
+	} {
+		var tunes int64
+		s := NewService(ServiceConfig{Tune: fakeTune(&tunes, nil, nil)})
+		_, err := s.Plan(PlanRequest{Arch: c.arch, Kind: core.KindScatter, Size: 4096, Procs: c.procs})
+		if (err == nil) != c.ok {
+			t.Errorf("%s procs=%d: err %v, want ok=%v", c.arch, c.procs, err, c.ok)
+		}
+		if st := s.Stats(); !c.ok && (tunes != 0 || st.Misses != 0) {
+			t.Errorf("%s procs=%d: rejected request tuned (%d tunes, %d misses)", c.arch, c.procs, tunes, st.Misses)
+		}
+	}
+}
+
 // TestSingleFlight pins the de-dup: many concurrent misses on one key
 // run exactly one tune; everyone else waits and shares its table.
 func TestSingleFlight(t *testing.T) {
@@ -280,6 +313,10 @@ func TestServiceHTTP(t *testing.T) {
 	code, body = get("/plan?arch=knl&kind=scatter&size=zap")
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad size: %d %s", code, body)
+	}
+	code, body = get("/plan?arch=knl&kind=scatter&size=65536&procs=10000000")
+	if code != http.StatusBadRequest {
+		t.Fatalf("oversized procs: %d %s", code, body)
 	}
 
 	code, body = get("/stats")
