@@ -6,153 +6,9 @@ import (
 
 	"camc/internal/core"
 	"camc/internal/fault"
+	"camc/internal/payload"
 	"camc/internal/trace"
 )
-
-func TestBufSizes(t *testing.T) {
-	cases := []struct {
-		kind       core.Kind
-		send, recv int64
-	}{
-		{core.KindScatter, 40, 10},
-		{core.KindGather, 10, 40},
-		{core.KindAlltoall, 40, 40},
-		{core.KindAllgather, 40, 40},
-		{core.KindBcast, 10, 10},
-		{core.KindReduce, 10, 10},
-	}
-	for _, c := range cases {
-		s, r, err := BufSizes(c.kind, 4, 10)
-		if err != nil {
-			t.Fatalf("%s: %v", c.kind, err)
-		}
-		if s != c.send || r != c.recv {
-			t.Errorf("%s: got send %d recv %d, want %d/%d", c.kind, s, r, c.send, c.recv)
-		}
-	}
-	if _, _, err := BufSizes(core.Kind("allreduce"), 4, 10); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
-
-func TestReferenceScatter(t *testing.T) {
-	sends := [][]byte{make([]byte, 6), {1, 2, 3, 4, 5, 6}, make([]byte, 6)}
-	exp, err := Reference(core.KindScatter, 3, 2, 1, sends)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]byte{{1, 2}, {3, 4}, {5, 6}}
-	for r := range want {
-		if DiffPayload(r, exp[r], want[r]) != "" {
-			t.Errorf("rank %d: got %v, want %v", r, exp[r], want[r])
-		}
-	}
-}
-
-func TestReferenceGather(t *testing.T) {
-	sends := [][]byte{{10, 11}, {20, 21}, {30, 31}}
-	exp, err := Reference(core.KindGather, 3, 2, 1, sends)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp[0] != nil || exp[2] != nil {
-		t.Error("non-root gather buffers must be unspecified")
-	}
-	want := []byte{10, 11, 20, 21, 30, 31}
-	if DiffPayload(1, exp[1], want) != "" {
-		t.Errorf("root: got %v, want %v", exp[1], want)
-	}
-}
-
-func TestReferenceAlltoall(t *testing.T) {
-	sends := [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}
-	exp, err := Reference(core.KindAlltoall, 2, 2, 0, sends)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// exp[r][s*c+i] = sends[s][r*c+i]
-	want := [][]byte{{1, 2, 5, 6}, {3, 4, 7, 8}}
-	for r := range want {
-		if DiffPayload(r, exp[r], want[r]) != "" {
-			t.Errorf("rank %d: got %v, want %v", r, exp[r], want[r])
-		}
-	}
-}
-
-func TestReferenceAllgather(t *testing.T) {
-	// Allgather buffers are p*count long; each rank's contribution is
-	// its leading count bytes (the rest is working space).
-	sends := [][]byte{{1, 2, 0, 0, 0, 0}, {3, 4, 0, 0, 0, 0}, {5, 6, 0, 0, 0, 0}}
-	exp, err := Reference(core.KindAllgather, 3, 2, 0, sends)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{1, 2, 3, 4, 5, 6}
-	for r := 0; r < 3; r++ {
-		if DiffPayload(r, exp[r], want) != "" {
-			t.Errorf("rank %d: got %v, want %v", r, exp[r], want)
-		}
-	}
-}
-
-func TestReferenceBcast(t *testing.T) {
-	sends := [][]byte{{0, 0}, {0, 0}, {9, 8}}
-	exp, err := Reference(core.KindBcast, 3, 2, 2, sends)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp[2] != nil {
-		t.Error("bcast root's receive buffer must be unspecified")
-	}
-	for r := 0; r < 2; r++ {
-		if DiffPayload(r, exp[r], []byte{9, 8}) != "" {
-			t.Errorf("rank %d: got %v", r, exp[r])
-		}
-	}
-}
-
-func TestReferenceReduce(t *testing.T) {
-	// Byte-wise modular sum, matching kernel.Process.Combine.
-	sends := [][]byte{{200, 1}, {100, 2}, {7, 3}}
-	exp, err := Reference(core.KindReduce, 3, 2, 0, sends)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{byte((200 + 100 + 7) % 256), 6} // wraps to 51
-	if DiffPayload(0, exp[0], want) != "" {
-		t.Errorf("root: got %v, want %v", exp[0], want)
-	}
-	if exp[1] != nil || exp[2] != nil {
-		t.Error("non-root reduce buffers must be unspecified")
-	}
-}
-
-func TestReferenceRejectsBadSnapshots(t *testing.T) {
-	if _, err := Reference(core.KindScatter, 3, 2, 0, [][]byte{{1, 2}, nil, nil}); err == nil {
-		t.Error("short root snapshot accepted")
-	}
-	if _, err := Reference(core.KindScatter, 3, 2, 0, [][]byte{nil, nil, nil}); err == nil {
-		t.Error("missing root snapshot accepted")
-	}
-	if _, err := Reference(core.KindAlltoall, 2, 2, 0, [][]byte{{1, 2, 3, 4}}); err == nil {
-		t.Error("wrong snapshot count accepted")
-	}
-}
-
-func TestDiffPayload(t *testing.T) {
-	if d := DiffPayload(0, []byte{1, 2}, []byte{1, 2}); d != "" {
-		t.Errorf("equal buffers diff: %q", d)
-	}
-	if d := DiffPayload(0, []byte{1, 2}, nil); d != "" {
-		t.Errorf("unspecified expectation diff: %q", d)
-	}
-	if d := DiffPayload(3, []byte{1, 9, 3}, []byte{1, 2, 3}); !strings.Contains(d, "rank 3") {
-		t.Errorf("mismatch not attributed: %q", d)
-	}
-	if d := DiffPayload(0, []byte{1}, []byte{1, 2}); d == "" {
-		t.Error("length mismatch not reported")
-	}
-}
 
 func TestSpecStringParseRoundTrip(t *testing.T) {
 	specs := []Spec{
@@ -423,13 +279,34 @@ func TestRunOneRegressions(t *testing.T) {
 		// liveness board with its old rank (index out of range [8] with
 		// length 7). It now exits as an excluded rank.
 		"arch=knl kind=gather algo=sequential-read size=262144 procs=9 root=8 seed=1712302316 ambient=8 faults=kill=0.4,killop=3,seed=431 deadline=2000",
+		// Seed-1 corpus spec 103, a single-node kill spec with skew=:
+		// the recovery harness read neither skew field, so the skew was
+		// dropped and the run replayed its unskewed twin exactly.
+		"arch=power8 kind=reduce algo=knomial:2 size=4096 procs=3 root=2 seed=2115250952 skew=9 ambient=8 faults=kill=0.4,killop=3,seed=395 deadline=2000",
 	} {
 		sp, err := ParseSpec(line)
 		if err != nil {
 			t.Fatalf("%q: %v", line, err)
 		}
-		if _, err := RunOne(sp); err != nil {
+		res, err := RunOne(sp)
+		if err != nil {
 			t.Errorf("%v", err)
+			continue
+		}
+		if sp.Skew == 0 {
+			continue
+		}
+		// Skew must reach the run: it may not replay its unskewed twin.
+		twin := sp
+		twin.Skew = 0
+		tres, err := RunOne(twin)
+		if err != nil {
+			t.Errorf("unskewed twin: %v", err)
+			continue
+		}
+		if res.Latency == tres.Latency && res.Rec.Len() == tres.Rec.Len() {
+			t.Errorf("%s: skew ignored: latency %v us and %d trace events equal the unskewed twin's",
+				sp, res.Latency, res.Rec.Len())
 		}
 	}
 }
@@ -439,11 +316,11 @@ func TestRunOneRegressions(t *testing.T) {
 // differential check — proof the oracle actually bites.
 func TestRunOneCatchesWrongRoot(t *testing.T) {
 	sends := [][]byte{{1, 2}, {3, 4}, {5, 6}}
-	exp, err := Reference(core.KindBcast, 3, 2, 0, sends)
+	exp, err := payload.Reference(core.KindBcast, 3, 2, 0, sends)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := DiffPayload(1, []byte{3, 4}, exp[1]); d == "" {
+	if d := payload.Diff(1, []byte{3, 4}, exp[1]); d == "" {
 		t.Error("wrong-root payload passed the oracle")
 	}
 }

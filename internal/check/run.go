@@ -13,6 +13,7 @@ import (
 	"camc/internal/liveness"
 	"camc/internal/measure"
 	"camc/internal/mpi"
+	"camc/internal/payload"
 	"camc/internal/trace"
 )
 
@@ -89,10 +90,6 @@ func RunOne(sp Spec) (*RunResult, error) {
 // network-specific invariants — is evaluated over the traced run.
 func runCluster(sp Spec, prof *arch.Profile) (*RunResult, error) {
 	world := sp.Nodes * sp.Procs
-	sendLen, recvLen, err := BufSizes(sp.Kind, world, sp.Count)
-	if err != nil {
-		return nil, err
-	}
 	fcfg := sp.faultConfig() // non-kill classes only (kills dispatch earlier)
 	var lcfg *liveness.Config
 	if sp.Deadline > 0 {
@@ -111,34 +108,18 @@ func runCluster(sp Spec, prof *arch.Profile) (*RunResult, error) {
 	rec := trace.NewUnbound()
 	cl.AttachTrace(rec)
 
-	rng := rand.New(rand.NewSource(sp.Seed))
-	send := make([]kernel.Addr, world)
-	recv := make([]kernel.Addr, world)
-	seed := make([]byte, sendLen)
-	snap := make([][]byte, world)
-	for w := 0; w < world; w++ {
-		p := cl.WorldRank(w).OS
-		send[w] = p.Alloc(sendLen)
-		recv[w] = p.Alloc(recvLen)
-		rng.Read(seed)
-		p.WriteAt(send[w], seed)
-		snap[w] = append([]byte(nil), seed...)
-		p.FillAt(recv[w], recvLen, 0xEE)
-	}
-	var skew []float64
-	if sp.Skew > 0 {
-		skew = make([]float64, world)
-		for i := range skew {
-			skew[i] = rng.Float64() * sp.Skew
-		}
+	proc := func(w int) *kernel.Process { return cl.WorldRank(w).OS }
+	b, err := seedRandom(sp, world, proc)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &RunResult{Spec: sp, Rec: rec, Procs: world}
 	done, err := cl.Run(func(r *cluster.Rank) {
-		if skew != nil {
-			r.SP.Sleep(skew[r.World])
+		if b.skew != nil {
+			r.SP.Sleep(b.skew[r.World])
 		}
-		coll.Run(r, cluster.Args{Send: send[r.World], Recv: recv[r.World], Count: sp.Count, Root: sp.Root})
+		coll.Run(r, cluster.Args{Send: b.send[r.World], Recv: b.recv[r.World], Count: sp.Count, Root: sp.Root})
 	})
 	if err != nil {
 		return res, fmt.Errorf("check: %s: simulation failed: %v", sp, err)
@@ -150,40 +131,11 @@ func runCluster(sp Spec, prof *arch.Profile) (*RunResult, error) {
 	res.NetChunk = cl.Fabric.ChunkBytes
 	for _, comm := range cl.Nodes {
 		if plan := comm.FaultPlan(); plan != nil {
-			s := plan.Stats()
-			res.Stats.Transients += s.Transients
-			res.Stats.Partials += s.Partials
-			res.Stats.LockSpikes += s.LockSpikes
-			res.Stats.ShmStalls += s.ShmStalls
-			res.Stats.Retries += s.Retries
-			res.Stats.BackoffTime += s.BackoffTime
-			res.Stats.Fallbacks += s.Fallbacks
-			res.Stats.BounceOps += s.BounceOps
-			res.Stats.BounceBytes += s.BounceBytes
+			res.Stats.Add(plan.Stats())
 		}
 	}
-
-	exp, err := Reference(sp.Kind, world, sp.Count, sp.Root, snap)
-	if err != nil {
+	if err := b.verify(sp, proc); err != nil {
 		return res, err
-	}
-	var diffs []string
-	for w := 0; w < world; w++ {
-		got := cl.WorldRank(w).OS.Bytes(recv[w], recvLen)
-		if d := DiffPayload(w, got, exp[w]); d != "" {
-			diffs = append(diffs, d)
-		}
-	}
-	if len(diffs) > 0 {
-		return res, fmt.Errorf("check: %s: differential mismatch vs reference executor: %s", sp, strings.Join(diffs, "; "))
-	}
-	for w := 0; w < world; w++ {
-		got := cl.WorldRank(w).OS.Bytes(send[w], sendLen)
-		for i := range got {
-			if got[i] != snap[w][i] {
-				return res, fmt.Errorf("check: %s: rank %d send buffer mutated at offset %d", sp, w, i)
-			}
-		}
 	}
 	err = violationsErr(res)
 	if err == nil {
@@ -196,11 +148,10 @@ func runCluster(sp Spec, prof *arch.Profile) (*RunResult, error) {
 // permanently kills ranks mid-collective across the fabric, so the run
 // goes through the world-level recovery harness (fabric-crossing
 // detection, world agreement, two-tier shrink, leader re-election,
-// re-run). The harness verifies the re-run closed-form; this wrapper
-// additionally replays the survivors' snapshots through the independent
-// sequential reference executor at the survivor world size, then runs
-// the invariant registry — including the three recovery invariants —
-// over the traced cycle.
+// re-run). The harness verifies the re-run payload against the
+// reference executor at the survivor world size; this wrapper runs the
+// invariant registry — including the three recovery invariants — over
+// the traced cycle.
 func runClusterRecovered(sp Spec, prof *arch.Profile, fcfg *fault.Config) (*RunResult, error) {
 	lcfg := liveness.Defaults()
 	if sp.Deadline > 0 {
@@ -218,23 +169,6 @@ func runClusterRecovered(sp Spec, prof *arch.Profile, fcfg *fault.Config) (*RunR
 		return res, fmt.Errorf("check: %s: cluster recovery harness: %v", sp, err)
 	}
 	res.Latency = cres.FirstLatency
-	if cres.Err != nil && cres.RecvSnap != nil {
-		// Independent oracle: every survivor's re-run receive buffer vs
-		// the reference executor at the survivor world size.
-		exp, rerr := Reference(sp.Kind, cres.Survivors, sp.Count, cres.NewRoot, cres.SendSnap)
-		if rerr != nil {
-			return res, rerr
-		}
-		var diffs []string
-		for id := 0; id < cres.Survivors; id++ {
-			if d := DiffPayload(id, cres.RecvSnap[id], exp[id]); d != "" {
-				diffs = append(diffs, d)
-			}
-		}
-		if len(diffs) > 0 {
-			return res, fmt.Errorf("check: %s: re-run differential mismatch vs reference executor: %s", sp, strings.Join(diffs, "; "))
-		}
-	}
 	return res, violationsErr(res)
 }
 
@@ -250,20 +184,13 @@ func runDifferential(sp Spec, prof *arch.Profile, fcfg *fault.Config) (*RunResul
 // comparison against the reference executor; track selects per-page
 // digest folding (mpi.Config.Sparse). The two knobs are independent:
 // (true, false) is the classic differential path, (true, true) and
-// (false, true) are the two arms SparseCrossCheck compares. Seeding
-// goes through the kernel's WriteAt/FillAt payload layer — never a raw
-// Bytes slice — so both arms fold identical content digests from an
-// identical rng stream.
+// (false, true) are the two arms SparseCrossCheck compares.
 func runPayload(sp Spec, prof *arch.Profile, fcfg *fault.Config, materialize, track bool) (*RunResult, error) {
 	algo, err := core.LookupAlgorithm(sp.Kind, sp.Algo)
 	if err != nil {
 		return nil, err
 	}
 	p := sp.Procs
-	sendLen, recvLen, err := BufSizes(sp.Kind, p, sp.Count)
-	if err != nil {
-		return nil, err
-	}
 	mem := (8*int64(p) + 16) * (sp.Count + int64(prof.PageSize))
 	if mem < 1<<20 {
 		mem = 1 << 20
@@ -273,41 +200,25 @@ func runPayload(sp Spec, prof *arch.Profile, fcfg *fault.Config, materialize, tr
 	c.AttachTrace(rec)
 	plan := c.FaultPlan()
 
-	rng := rand.New(rand.NewSource(sp.Seed))
-	send := make([]kernel.Addr, p)
-	recv := make([]kernel.Addr, p)
-	seed := make([]byte, sendLen)
-	snap := make([][]byte, p)
-	for r := 0; r < p; r++ {
-		rank := c.Rank(r)
-		send[r] = rank.Alloc(sendLen)
-		recv[r] = rank.Alloc(recvLen)
-		rng.Read(seed)
-		rank.OS.WriteAt(send[r], seed)
-		snap[r] = append([]byte(nil), seed...)
-		rank.OS.FillAt(recv[r], recvLen, 0xEE)
-	}
-	var skew []float64
-	if sp.Skew > 0 {
-		skew = make([]float64, p)
-		for i := range skew {
-			skew[i] = rng.Float64() * sp.Skew
-		}
+	proc := func(r int) *kernel.Process { return c.Rank(r).OS }
+	b, err := seedRandom(sp, p, proc)
+	if err != nil {
+		return nil, err
 	}
 
 	starts := make([]float64, p)
 	ends := make([]float64, p)
 	c.Start(func(r *mpi.Rank) {
 		r.Barrier()
-		if skew != nil {
-			r.SP.Sleep(skew[r.ID])
+		if b.skew != nil {
+			r.SP.Sleep(b.skew[r.ID])
 		}
 		starts[r.ID] = r.SP.Now()
 		if d := plan.StragglerDelay(r.ID, 0); d > 0 {
 			rec.Instant(r.ID, trace.CatFault, "straggle", trace.F("delay", d))
 			r.SP.Sleep(d)
 		}
-		algo.Run(r, core.Args{Send: send[r.ID], Recv: recv[r.ID], Count: sp.Count, Root: sp.Root})
+		algo.Run(r, core.Args{Send: b.send[r.ID], Recv: b.recv[r.ID], Count: sp.Count, Root: sp.Root})
 		ends[r.ID] = r.SP.Now()
 		r.Barrier()
 	})
@@ -326,30 +237,8 @@ func runPayload(sp Spec, prof *arch.Profile, fcfg *fault.Config, materialize, tr
 	}
 
 	if materialize {
-		// Differential comparison against the reference executor.
-		exp, err := Reference(sp.Kind, p, sp.Count, sp.Root, snap)
-		if err != nil {
+		if err := b.verify(sp, proc); err != nil {
 			return res, err
-		}
-		var diffs []string
-		for r := 0; r < p; r++ {
-			got := c.Rank(r).OS.Bytes(recv[r], recvLen)
-			if d := DiffPayload(r, got, exp[r]); d != "" {
-				diffs = append(diffs, d)
-			}
-		}
-		if len(diffs) > 0 {
-			return res, fmt.Errorf("check: %s: differential mismatch vs reference executor: %s", sp, strings.Join(diffs, "; "))
-		}
-
-		// Sends must be untouched: the collective owns only Recv.
-		for r := 0; r < p; r++ {
-			got := c.Rank(r).OS.Bytes(send[r], sendLen)
-			for i := range got {
-				if got[i] != snap[r][i] {
-					return res, fmt.Errorf("check: %s: rank %d send buffer mutated at offset %d", sp, r, i)
-				}
-			}
 		}
 	}
 
@@ -366,8 +255,8 @@ func runPayload(sp Spec, prof *arch.Profile, fcfg *fault.Config, materialize, tr
 // runRecovered is the kill path: the spec's plan permanently kills
 // ranks mid-operation, so the run goes through the full recovery
 // harness (detect, agree, shrink, replan, verified re-run — the payload
-// check happens inside measure.CollectiveRecoveredTraced against a
-// fresh pattern on the survivor communicator). The trace and fault
+// check happens inside measure.CollectiveRecoveredTraced against the
+// reference executor at the survivor count). The trace and fault
 // invariants then run over the whole recovery cycle.
 func runRecovered(sp Spec, prof *arch.Profile, fcfg *fault.Config) (*RunResult, error) {
 	lcfg := liveness.Defaults()
@@ -385,6 +274,66 @@ func runRecovered(sp Spec, prof *arch.Profile, fcfg *fault.Config) (*RunResult, 
 	res.Stats = rres.Stats
 	res.Recovery = &rres
 	return res, violationsErr(res)
+}
+
+// seeded is one run's payload: every rank's buffer bases, the seeded
+// send contents, and the per-rank entry skew (nil without skew=).
+type seeded struct {
+	send, recv []kernel.Addr
+	sends      [][]byte
+	skew       []float64
+}
+
+// seedRandom allocates p ranks' buffers for sp and seeds them from the
+// spec's rng stream: random send contents and a 0xEE-poisoned receive
+// buffer, then the entry skew. Seeding goes through the kernel's
+// WriteAt/FillAt payload layer — never a raw Bytes slice — so the
+// materialized and digest-only arms fold identical content digests.
+// proc maps a rank to its process.
+func seedRandom(sp Spec, p int, proc func(rank int) *kernel.Process) (*seeded, error) {
+	sendLen, recvLen, err := payload.BufSizes(sp.Kind, p, sp.Count)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(sp.Seed))
+	b := &seeded{send: make([]kernel.Addr, p), recv: make([]kernel.Addr, p), sends: make([][]byte, p)}
+	for r := 0; r < p; r++ {
+		os := proc(r)
+		b.send[r], b.recv[r] = os.Alloc(sendLen), os.Alloc(recvLen)
+		b.sends[r] = make([]byte, sendLen)
+		rng.Read(b.sends[r])
+		os.WriteAt(b.send[r], b.sends[r])
+		os.FillAt(b.recv[r], recvLen, 0xEE)
+	}
+	if sp.Skew > 0 {
+		b.skew = make([]float64, p)
+		for i := range b.skew {
+			b.skew[i] = rng.Float64() * sp.Skew
+		}
+	}
+	return b, nil
+}
+
+// verify compares every rank's receive buffer against the reference
+// executor over the seeded sends, then requires every send buffer to
+// still hold its seed: the collective owns only Recv.
+func (b *seeded) verify(sp Spec, proc func(rank int) *kernel.Process) error {
+	p := len(b.sends)
+	_, recvLen, _ := payload.BufSizes(sp.Kind, p, sp.Count)
+	err := payload.Verify(sp.Kind, p, sp.Count, sp.Root, b.sends,
+		func(r int) []byte { return proc(r).Bytes(b.recv[r], recvLen) })
+	if err != nil {
+		return fmt.Errorf("check: %s: %v", sp, err)
+	}
+	for r, want := range b.sends {
+		got := proc(r).Bytes(b.send[r], int64(len(want)))
+		for i := range got {
+			if got[i] != want[i] {
+				return fmt.Errorf("check: %s: rank %d send buffer mutated at offset %d", sp, r, i)
+			}
+		}
+	}
+	return nil
 }
 
 // violationsErr folds the invariant registry's findings into one error.

@@ -117,7 +117,6 @@ func TestGatherAlgorithmsEquivalent(t *testing.T) {
 	algos = append(algos,
 		Algorithm{Name: "binomial-shm", Run: GatherBinomial(TransportShm)},
 		Algorithm{Name: "binomial-p2p", Run: GatherBinomial(TransportPt2pt)},
-		Algorithm{Name: "socket-aware", Run: GatherSocketAware(3)},
 	)
 	checkEquivalence(t, KindGather, algos)
 }
@@ -127,7 +126,6 @@ func TestBcastAlgorithmsEquivalent(t *testing.T) {
 	algos = append(algos,
 		Algorithm{Name: "binomial-shm", Run: BcastBinomial(TransportShm)},
 		Algorithm{Name: "vdg-p2p", Run: BcastVanDeGeijn(TransportPt2pt)},
-		Algorithm{Name: "socket-aware", Run: BcastSocketAware(3)},
 	)
 	checkEquivalence(t, KindBcast, algos)
 }

@@ -140,6 +140,22 @@ type Stats struct {
 	Kills       int64   // permanent rank deaths enacted
 }
 
+// Add accumulates o's counters into s (one node plan's share of a
+// cluster-wide total).
+func (s *Stats) Add(o Stats) {
+	s.Transients += o.Transients
+	s.Partials += o.Partials
+	s.LockSpikes += o.LockSpikes
+	s.ShmStalls += o.ShmStalls
+	s.Stragglers += o.Stragglers
+	s.Retries += o.Retries
+	s.BackoffTime += o.BackoffTime
+	s.Fallbacks += o.Fallbacks
+	s.BounceOps += o.BounceOps
+	s.BounceBytes += o.BounceBytes
+	s.Kills += o.Kills
+}
+
 // Plan is one simulation's fault schedule. Create with New; a nil *Plan
 // is inert (every decision method reports "no fault"), so the stack can
 // thread a possibly-nil plan without guarding each call site.

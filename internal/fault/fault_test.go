@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -322,5 +323,31 @@ func TestDefaultsApplied(t *testing.T) {
 	if c.MaxRetries != DefaultMaxRetries || c.BackoffBase != DefaultBackoffBase ||
 		c.LockSpikeFactor != DefaultLockSpikeFactor {
 		t.Fatalf("defaults not applied: %+v", c)
+	}
+}
+
+// TestStatsAddFoldsEveryField: Add must sum every counter, so a field
+// added to Stats later cannot silently drop out of cluster totals.
+func TestStatsAddFoldsEveryField(t *testing.T) {
+	var one Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(1)
+		case reflect.Float64:
+			f.SetFloat(1)
+		default:
+			t.Fatalf("Stats.%s: unexpected kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var sum Stats
+	sum.Add(one)
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if f := got.Field(i); f.Convert(reflect.TypeOf(float64(0))).Float() != 2 {
+			t.Errorf("Stats.%s = %v after two Adds of 1, want 2", got.Type().Field(i).Name, f)
+		}
 	}
 }

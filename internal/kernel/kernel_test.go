@@ -13,7 +13,7 @@ import (
 
 func newKNLNode(s *sim.Simulation) *Node { return NewNode(s, arch.KNL()) }
 
-func fillPattern(b []byte, seed byte) {
+func fillSeeded(b []byte, seed byte) {
 	for i := range b {
 		b[i] = seed + byte(i*7)
 	}
@@ -27,7 +27,7 @@ func TestVMReadMovesData(t *testing.T) {
 	const size = 10000
 	sa := src.Alloc(size)
 	da := dst.Alloc(size)
-	fillPattern(src.Bytes(sa, size), 3)
+	fillSeeded(src.Bytes(sa, size), 3)
 	s.Spawn("reader", func(p *sim.Proc) {
 		if err := dst.VMRead(p, da, src, sa, size); err != nil {
 			t.Errorf("VMRead: %v", err)
@@ -49,7 +49,7 @@ func TestVMWriteMovesData(t *testing.T) {
 	const size = 8192
 	aa := a.Alloc(size)
 	ba := b.Alloc(size)
-	fillPattern(a.Bytes(aa, size), 9)
+	fillSeeded(a.Bytes(aa, size), 9)
 	s.Spawn("writer", func(p *sim.Proc) {
 		if err := a.VMWrite(p, aa, b, ba, size); err != nil {
 			t.Errorf("VMWrite: %v", err)
@@ -423,7 +423,7 @@ func TestLocalCopy(t *testing.T) {
 	p := n.NewProcess(1 << 20)
 	src := p.Alloc(5000)
 	dst := p.Alloc(5000)
-	fillPattern(p.Bytes(src, 5000), 17)
+	fillSeeded(p.Bytes(src, 5000), 17)
 	var elapsed float64
 	s.Spawn("c", func(sp *sim.Proc) {
 		start := sp.Now()

@@ -8,15 +8,9 @@ import (
 	"camc/internal/fault"
 	"camc/internal/kernel"
 	"camc/internal/mpi"
+	"camc/internal/payload"
 	"camc/internal/trace"
 )
-
-// checkPattern generates the verification byte at offset i of the block
-// rank src addresses to rank dst (same shape as the core test suite's
-// pattern, kept independent so the packages don't share test code).
-func checkPattern(src, dst int, i int64) byte {
-	return byte(src*37 + dst*11 + int(i)*7 + 5)
-}
 
 // CollectiveChecked runs one collective invocation with real data
 // movement and verifies that every byte of every receive buffer landed
@@ -32,29 +26,12 @@ func CollectiveChecked(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, cor
 		procs = a.DefaultProcs
 	}
 	root := opts.Root
-	mem := opts.Mem
-	if mem == 0 {
-		mem = (8*int64(procs) + 16) * (count + int64(a.PageSize))
-		if mem < 1<<20 {
-			mem = 1 << 20
-		}
-	}
-	c := mpi.New(mpi.Config{Arch: a, Procs: procs, CopyData: true, MemPerProc: mem, Mechanism: opts.Mechanism, Ambient: opts.Ambient, Fault: opts.Fault, Liveness: opts.Liveness})
-	plan := c.FaultPlan()
-
-	sendLen, recvLen, err := bufSizes(kind, procs, count)
-	if err != nil {
+	if _, _, err := payload.BufSizes(kind, procs, count); err != nil {
 		return 0, fault.Stats{}, err
 	}
-
-	send := make([]kernel.Addr, procs)
-	recv := make([]kernel.Addr, procs)
-	for r := 0; r < procs; r++ {
-		rank := c.Rank(r)
-		send[r] = rank.Alloc(sendLen)
-		recv[r] = rank.Alloc(recvLen)
-		fillPattern(c, kind, r, count, send[r], recv[r], sendLen, recvLen)
-	}
+	c := mpi.New(mpi.Config{Arch: a, Procs: procs, CopyData: true, MemPerProc: checkedMem(a, procs, count, opts.Mem), Mechanism: opts.Mechanism, Ambient: opts.Ambient, Fault: opts.Fault, Liveness: opts.Liveness})
+	plan := c.FaultPlan()
+	send, recv, sends := seedComm(c, kind, count)
 
 	starts := make([]float64, procs)
 	ends := make([]float64, procs)
@@ -77,108 +54,61 @@ func CollectiveChecked(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, cor
 		return 0, plan.Stats(), err
 	}
 	lat := maxOf(ends) - maxOf(starts)
-	if err := verifyPayloads(c, kind, root, count, recv); err != nil {
-		return lat, plan.Stats(), err
-	}
-	return lat, plan.Stats(), nil
+	return lat, plan.Stats(), verifyComm(c, kind, root, count, sends, recv)
 }
 
-// fillPattern writes the deterministic send pattern for one rank's send
-// buffer and poisons its receive buffer (0xEE), per MPI semantics of
-// kind. Ranks are addressed by their IDs in comm c, so the same function
-// seeds a fresh communicator and a post-shrink one.
-func fillPattern(c *mpi.Comm, kind core.Kind, rank int, count int64, send, recv kernel.Addr, sendLen, recvLen int64) {
-	r := c.Rank(rank)
-	buf := r.OS.Bytes(send, sendLen)
-	switch kind {
-	case core.KindScatter, core.KindAlltoall:
-		for d := 0; d < c.Size(); d++ {
-			for i := int64(0); i < count; i++ {
-				buf[int64(d)*count+i] = checkPattern(rank, d, i)
-			}
-		}
-	default: // one Count-byte vector per rank
-		for i := int64(0); i < count; i++ {
-			buf[i] = checkPattern(rank, 0, i)
+// checkedMem sizes each rank's virtual memory for a payload-carrying
+// run: mem if set, else room for eight p-block buffers, at least 1 MiB.
+func checkedMem(a *arch.Profile, procs int, count, mem int64) int64 {
+	if mem == 0 {
+		mem = (8*int64(procs) + 16) * (count + int64(a.PageSize))
+		if mem < 1<<20 {
+			mem = 1 << 20
 		}
 	}
-	rb := r.OS.Bytes(recv, recvLen)
-	for i := range rb {
-		rb[i] = 0xEE
-	}
+	return mem
 }
 
-// verifyPayloads checks every byte of every receive buffer in comm c
-// against the deterministic pattern, per MPI semantics of kind. recv[r]
-// is rank r's receive buffer base.
-func verifyPayloads(c *mpi.Comm, kind core.Kind, root int, count int64, recv []kernel.Addr) error {
-	procs := c.Size()
-	check := func(rank int, off int64, want byte, what string) error {
-		got := c.Rank(rank).OS.Bytes(recv[rank]+kernel.Addr(off), 1)[0]
-		if got != want {
-			return fmt.Errorf("measure: %s payload wrong at rank %d offset %d: got %#x, want %#x",
-				what, rank, off, got, want)
-		}
-		return nil
+// seedBuffers allocates one rank's send and receive buffers in os for a
+// p-rank collective of an already validated kind. With data it also
+// seeds them through the kernel's payload layer — payload.Pattern into
+// the send buffer, 0xEE poison into the receive buffer — and returns
+// the pattern, which payload.Verify takes as the rank's send snapshot.
+func seedBuffers(os *kernel.Process, kind core.Kind, p, rank int, count int64, data bool) (send, recv kernel.Addr, pattern []byte) {
+	sendLen, recvLen, _ := payload.BufSizes(kind, p, count)
+	send, recv = os.Alloc(sendLen), os.Alloc(recvLen)
+	if data {
+		pattern = payload.Pattern(kind, p, rank, count)
+		os.WriteAt(send, pattern)
+		os.FillAt(recv, recvLen, 0xEE)
 	}
-	for r := 0; r < procs; r++ {
-		for i := int64(0); i < count; i++ {
-			var err error
-			switch kind {
-			case core.KindScatter:
-				err = check(r, i, checkPattern(root, r, i), "scatter")
-			case core.KindGather:
-				if r == root {
-					for src := 0; src < procs; src++ {
-						if e := check(r, int64(src)*count+i, checkPattern(src, 0, i), "gather"); e != nil {
-							return e
-						}
-					}
-				}
-			case core.KindAllgather, core.KindAlltoall:
-				for src := 0; src < procs; src++ {
-					want := checkPattern(src, 0, i)
-					if kind == core.KindAlltoall {
-						want = checkPattern(src, r, i)
-					}
-					if e := check(r, int64(src)*count+i, want, string(kind)); e != nil {
-						return e
-					}
-				}
-			case core.KindBcast:
-				if r != root {
-					err = check(r, i, checkPattern(root, 0, i), "bcast")
-				}
-			case core.KindReduce:
-				if r == root {
-					var sum byte
-					for src := 0; src < procs; src++ {
-						sum += checkPattern(src, 0, i)
-					}
-					err = check(r, i, sum, "reduce")
-				}
-			}
-			if err != nil {
-				return err
-			}
-		}
+	return send, recv, pattern
+}
+
+// seedComm seeds every rank of communicator c (see seedBuffers).
+func seedComm(c *mpi.Comm, kind core.Kind, count int64) (send, recv []kernel.Addr, sends [][]byte) {
+	p := c.Size()
+	send, recv, sends = make([]kernel.Addr, p), make([]kernel.Addr, p), make([][]byte, p)
+	for r := 0; r < p; r++ {
+		send[r], recv[r], sends[r] = seedBuffers(c.Rank(r).OS, kind, p, r, count, true)
+	}
+	return send, recv, sends
+}
+
+// verifyComm checks every receive buffer of communicator c, recv[r]
+// being rank r's base, against the reference executor over sends.
+func verifyComm(c *mpi.Comm, kind core.Kind, root int, count int64, sends [][]byte, recv []kernel.Addr) error {
+	return verifyRecv(kind, root, count, sends, func(r int) *kernel.Process { return c.Rank(r).OS }, recv)
+}
+
+// verifyRecv checks every rank's receive buffer, recv[r] in proc(r)'s
+// memory, against the reference executor over the seeded sends.
+func verifyRecv(kind core.Kind, root int, count int64, sends [][]byte, proc func(rank int) *kernel.Process, recv []kernel.Addr) error {
+	_, recvLen, _ := payload.BufSizes(kind, len(sends), count)
+	err := payload.Verify(kind, len(sends), count, root, sends,
+		func(r int) []byte { return proc(r).Bytes(recv[r], recvLen) })
+	if err != nil {
+		return fmt.Errorf("measure: %s: %v", kind, err)
 	}
 	return nil
-}
-
-// bufSizes returns the send/receive buffer lengths for one rank of a
-// p-rank communicator running kind with per-rank message size count.
-func bufSizes(kind core.Kind, p int, count int64) (sendLen, recvLen int64, err error) {
-	blocks := int64(p)
-	switch kind {
-	case core.KindScatter:
-		return blocks * count, count, nil
-	case core.KindGather:
-		return count, blocks * count, nil
-	case core.KindAlltoall, core.KindAllgather:
-		return blocks * count, blocks * count, nil
-	case core.KindBcast, core.KindReduce:
-		return count, count, nil
-	}
-	return 0, 0, fmt.Errorf("measure: unsupported checked kind %q", kind)
 }

@@ -1,11 +1,13 @@
 package measure
 
 import (
+	"strings"
 	"testing"
 
 	"camc/internal/arch"
 	"camc/internal/core"
 	"camc/internal/fault"
+	"camc/internal/mpi"
 )
 
 func checkedAlgo(t *testing.T, kind core.Kind, spec string) core.Algorithm {
@@ -53,6 +55,31 @@ func TestCheckedCollectiveFaultFree(t *testing.T) {
 		}
 		if st != (fault.Stats{}) {
 			t.Fatalf("%s/%s: fault stats without a plan: %+v", tc.kind, tc.spec, st)
+		}
+	}
+}
+
+// TestCheckedCollectiveCatchesCorruption proves the harness's payload
+// check bites: every kind's real algorithm, followed by a one-byte flip
+// in rank 1's receive buffer (specified there: rank 1 is the root of
+// the rooted reductions), must fail verification at that rank.
+func TestCheckedCollectiveCatchesCorruption(t *testing.T) {
+	a := arch.Broadwell()
+	for _, tc := range checkedMatrix {
+		al := checkedAlgo(t, tc.kind, tc.spec)
+		root := 0
+		if tc.kind == core.KindGather || tc.kind == core.KindReduce {
+			root = 1
+		}
+		corrupt := func(r *mpi.Rank, args core.Args) {
+			al.Run(r, args)
+			if r.ID == 1 {
+				r.OS.Bytes(args.Recv, 1)[0] ^= 0xFF
+			}
+		}
+		_, _, err := CollectiveChecked(a, tc.kind, corrupt, 4<<10, Options{Procs: 4, Root: root})
+		if err == nil || !strings.Contains(err.Error(), "rank 1 offset 0") {
+			t.Errorf("%s/%s: corrupted payload not caught at rank 1 offset 0: %v", tc.kind, tc.spec, err)
 		}
 	}
 }

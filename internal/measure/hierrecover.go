@@ -2,7 +2,6 @@ package measure
 
 import (
 	"fmt"
-	"math/rand"
 
 	"camc/internal/arch"
 	"camc/internal/cluster"
@@ -10,6 +9,7 @@ import (
 	"camc/internal/fault"
 	"camc/internal/kernel"
 	"camc/internal/liveness"
+	"camc/internal/payload"
 	"camc/internal/trace"
 )
 
@@ -33,9 +33,8 @@ type ClusterOptions struct {
 	MaxSkew  float64
 
 	// CopyData materializes payload bytes: the attempt and the re-run
-	// are then verified byte-level against the deterministic pattern
-	// (and snapshots are returned for external oracles). Dataless runs
-	// move cost only and skip verification.
+	// are then verified byte-level against the reference executor.
+	// Dataless runs move cost only and skip verification.
 	CopyData bool
 }
 
@@ -56,12 +55,6 @@ type ClusterRecoveryResult struct {
 	// clean run.
 	OldWorld []int
 	NewRoot  int
-
-	// SendSnap and RecvSnap are the survivors' re-run buffers by new id
-	// (CopyData runs only): the send pattern each survivor offered and
-	// the bytes its receive buffer held after the re-run. External
-	// oracles (the check package's reference executor) consume these.
-	SendSnap, RecvSnap [][]byte
 
 	// Residue is what the aborted attempt left in the fabric's flow
 	// queues: messages addressed to ranks that died before receiving
@@ -109,28 +102,18 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	}
 	cl.AttachTrace(rec)
 
-	sendLen, recvLen, err := bufSizes(kind, world, count)
-	if err != nil {
+	if _, _, err := payload.BufSizes(kind, world, count); err != nil {
 		return ClusterRecoveryResult{}, err
 	}
 	send := make([]kernel.Addr, world)
 	recv := make([]kernel.Addr, world)
+	sends := make([][]byte, world) // seeded patterns; all nil when dataless
 	for w := 0; w < world; w++ {
-		p := cl.WorldRank(w).OS
-		send[w] = p.Alloc(sendLen)
-		recv[w] = p.Alloc(recvLen)
-		if cl.CopyData {
-			p.WriteAt(send[w], patternSend(kind, world, w, count, sendLen))
-			p.FillAt(recv[w], recvLen, 0xEE)
-		}
+		send[w], recv[w], sends[w] = seedBuffers(cl.WorldRank(w).OS, kind, world, w, count, cl.CopyData)
 	}
 	var skew []float64
 	if opts.MaxSkew > 0 {
-		rng := rand.New(rand.NewSource(opts.SkewSeed))
-		skew = make([]float64, world)
-		for i := range skew {
-			skew[i] = rng.Float64() * opts.MaxSkew
-		}
+		skew = drawSkew(opts.SkewSeed, opts.MaxSkew, world)
 	}
 
 	// Per-original-world-rank instants; killed ranks leave their slots 0
@@ -143,9 +126,9 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	survived := make([]bool, world)
 
 	// Survivor state published by the rank goroutines (single scheduling
-	// token; plain writes are safe). recv2/send2 are indexed by NEW id.
+	// token; plain writes are safe). recv2/sends2 are indexed by NEW id.
 	recv2 := make([]kernel.Addr, world)
-	send2 := make([]kernel.Addr, world)
+	sends2 := make([][]byte, world)
 	var sh *cluster.Shrunk
 
 	done, runErr := cl.Run(func(r *cluster.Rank) {
@@ -179,17 +162,8 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 		if id == 0 {
 			sh = shr
 		}
-		sl2, rl2, serr := bufSizes(kind, shr.NewSize, count)
-		if serr != nil {
-			panic(serr)
-		}
-		s2 := nr.Alloc(sl2)
-		r2 := nr.Alloc(rl2)
-		send2[id], recv2[id] = s2, r2
-		if cl.CopyData {
-			nr.OS.WriteAt(s2, patternSend(kind, shr.NewSize, id, count, sl2))
-			nr.OS.FillAt(r2, rl2, 0xEE)
-		}
+		s2, r2, pat := seedBuffers(nr.OS, kind, shr.NewSize, id, count, cl.CopyData)
+		recv2[id], sends2[id] = r2, pat
 		nr.WorldBarrier(shr.NewSize)
 		rerunStarts[w] = float64(r.SP.Now())
 		cluster.Rerun(nr, shr, kind, intraSpec, cluster.Args{Send: s2, Recv: r2, Count: count, Root: shr.NewRoot})
@@ -204,7 +178,7 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	res.Survivors = world
 	for _, comm := range cl.Nodes {
 		if plan := comm.FaultPlan(); plan != nil {
-			addStats(&res.Stats, plan.Stats())
+			res.Stats.Add(plan.Stats())
 		}
 	}
 	if runErr != nil {
@@ -236,11 +210,7 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 			cluster.Release(cl)
 			return res, nil
 		}
-		snap := make([][]byte, world)
-		for w := 0; w < world; w++ {
-			snap[w] = append([]byte(nil), cl.WorldRank(w).OS.Bytes(recv[w], recvLen)...)
-		}
-		verr := verifySnap(kind, world, opts.Root, count, snap)
+		verr := verifyRecv(kind, opts.Root, count, sends, func(w int) *kernel.Process { return cl.WorldRank(w).OS }, recv)
 		if verr == nil {
 			cluster.Release(cl)
 		}
@@ -275,103 +245,6 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	if !cl.CopyData {
 		return res, nil
 	}
-	sl2, rl2, _ := bufSizes(kind, sh.NewSize, count)
-	res.SendSnap = make([][]byte, sh.NewSize)
-	res.RecvSnap = make([][]byte, sh.NewSize)
-	for id := 0; id < sh.NewSize; id++ {
-		p := cl.WorldRank(sh.OldWorld[id]).OS
-		res.SendSnap[id] = append([]byte(nil), p.Bytes(send2[id], sl2)...)
-		res.RecvSnap[id] = append([]byte(nil), p.Bytes(recv2[id], rl2)...)
-	}
-	return res, verifySnap(kind, sh.NewSize, sh.NewRoot, count, res.RecvSnap)
-}
-
-// addStats accumulates one node plan's counters into the total.
-func addStats(t *fault.Stats, s fault.Stats) {
-	t.Transients += s.Transients
-	t.Partials += s.Partials
-	t.LockSpikes += s.LockSpikes
-	t.ShmStalls += s.ShmStalls
-	t.Stragglers += s.Stragglers
-	t.Retries += s.Retries
-	t.BackoffTime += s.BackoffTime
-	t.Fallbacks += s.Fallbacks
-	t.BounceOps += s.BounceOps
-	t.BounceBytes += s.BounceBytes
-	t.Kills += s.Kills
-}
-
-// patternSend builds rank's send buffer contents for a p-rank
-// communicator: the same deterministic pattern fillPattern writes.
-func patternSend(kind core.Kind, p, rank int, count, sendLen int64) []byte {
-	buf := make([]byte, sendLen)
-	switch kind {
-	case core.KindScatter, core.KindAlltoall:
-		for d := 0; d < p; d++ {
-			for i := int64(0); i < count; i++ {
-				buf[int64(d)*count+i] = checkPattern(rank, d, i)
-			}
-		}
-	default:
-		for i := int64(0); i < count; i++ {
-			buf[i] = checkPattern(rank, 0, i)
-		}
-	}
-	return buf
-}
-
-// verifySnap checks receive-buffer snapshots (indexed by rank) against
-// the deterministic pattern, per MPI semantics of kind — the
-// snapshot-based twin of verifyPayloads.
-func verifySnap(kind core.Kind, procs, root int, count int64, recv [][]byte) error {
-	check := func(rank int, off int64, want byte, what string) error {
-		if got := recv[rank][off]; got != want {
-			return fmt.Errorf("measure: %s payload wrong at rank %d offset %d: got %#x, want %#x",
-				what, rank, off, got, want)
-		}
-		return nil
-	}
-	for r := 0; r < procs; r++ {
-		for i := int64(0); i < count; i++ {
-			var err error
-			switch kind {
-			case core.KindScatter:
-				err = check(r, i, checkPattern(root, r, i), "scatter")
-			case core.KindGather:
-				if r == root {
-					for src := 0; src < procs; src++ {
-						if e := check(r, int64(src)*count+i, checkPattern(src, 0, i), "gather"); e != nil {
-							return e
-						}
-					}
-				}
-			case core.KindAllgather, core.KindAlltoall:
-				for src := 0; src < procs; src++ {
-					want := checkPattern(src, 0, i)
-					if kind == core.KindAlltoall {
-						want = checkPattern(src, r, i)
-					}
-					if e := check(r, int64(src)*count+i, want, string(kind)); e != nil {
-						return e
-					}
-				}
-			case core.KindBcast:
-				if r != root {
-					err = check(r, i, checkPattern(root, 0, i), "bcast")
-				}
-			case core.KindReduce:
-				if r == root {
-					var sum byte
-					for src := 0; src < procs; src++ {
-						sum += checkPattern(src, 0, i)
-					}
-					err = check(r, i, sum, "reduce")
-				}
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	proc := func(id int) *kernel.Process { return cl.WorldRank(sh.OldWorld[id]).OS }
+	return res, verifyRecv(kind, sh.NewRoot, count, sends2[:sh.NewSize], proc, recv2)
 }

@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"bytes"
 	"testing"
 
 	"camc/internal/arch"
@@ -113,8 +112,9 @@ func TestClusterRecoveredWorldRootDeath(t *testing.T) {
 }
 
 // TestClusterRecoveredDeterministic: the full cross-fabric cycle —
-// detection through re-elected leader table through re-run payload —
-// is a pure function of the configuration.
+// detection through re-elected leader table through re-run — is a pure
+// function of the configuration. Both runs' re-run payloads are checked
+// against the same reference inside the harness.
 func TestClusterRecoveredDeterministic(t *testing.T) {
 	prof := arch.KNL()
 	opts := ClusterOptions{Nodes: 3, PPN: 3, Root: 2, CopyData: true,
@@ -130,14 +130,6 @@ func TestClusterRecoveredDeterministic(t *testing.T) {
 	if r1.DetectLatency != r2.DetectLatency || r1.ShrinkLatency != r2.ShrinkLatency ||
 		r1.ElectLatency != r2.ElectLatency || r1.RerunLatency != r2.RerunLatency {
 		t.Fatalf("same config diverged:\n%+v\n%+v", r1.RecoveryResult, r2.RecoveryResult)
-	}
-	if len(r1.RecvSnap) != len(r2.RecvSnap) {
-		t.Fatalf("snapshot counts diverged: %d vs %d", len(r1.RecvSnap), len(r2.RecvSnap))
-	}
-	for i := range r1.RecvSnap {
-		if !bytes.Equal(r1.RecvSnap[i], r2.RecvSnap[i]) {
-			t.Fatalf("survivor %d re-run payload diverged across identical runs", i)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"fmt"
+	"math/rand"
 
 	"camc/internal/arch"
 	"camc/internal/core"
@@ -9,6 +10,7 @@ import (
 	"camc/internal/kernel"
 	"camc/internal/liveness"
 	"camc/internal/mpi"
+	"camc/internal/payload"
 	"camc/internal/trace"
 )
 
@@ -50,9 +52,10 @@ type RecoveryResult struct {
 // agrees on the failed set, shrinks the communicator, re-plans the
 // algorithm for the survivor count (re-rooting if the root died), and
 // re-runs the collective with fresh payload buffers — verified
-// byte-for-byte against the same pattern a fresh run at the survivor
-// count would produce. If no rank dies, the first run's payload is
-// verified instead and the recovery latencies are zero.
+// byte-for-byte against the reference executor at the survivor count.
+// If no rank dies, the first run's payload is verified instead and the
+// recovery latencies are zero. Entry skew (Options.SkewSeed/MaxSkew)
+// applies to the first attempt only.
 func CollectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int64, opts Options) (RecoveryResult, error) {
 	return collectiveRecovered(a, kind, spec, count, opts, nil)
 }
@@ -81,29 +84,20 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 		d := liveness.Defaults()
 		lcfg = &d
 	}
-	mem := opts.Mem
-	if mem == 0 {
-		mem = (8*int64(procs) + 16) * (count + int64(a.PageSize))
-		if mem < 1<<20 {
-			mem = 1 << 20
-		}
+	if _, _, err := payload.BufSizes(kind, procs, count); err != nil {
+		return RecoveryResult{}, err
 	}
-	c := mpi.New(mpi.Config{Arch: a, Procs: procs, CopyData: true, MemPerProc: mem,
+	c := mpi.New(mpi.Config{Arch: a, Procs: procs, CopyData: true, MemPerProc: checkedMem(a, procs, count, opts.Mem),
 		Mechanism: opts.Mechanism, Ambient: opts.Ambient, Fault: opts.Fault, Liveness: lcfg})
 	c.AttachTrace(rec)
 	plan := c.FaultPlan()
 	board := c.Liveness() // pre-shrink board: holds death + agreement instants
-
-	sendLen, recvLen, err := bufSizes(kind, procs, count)
-	if err != nil {
-		return RecoveryResult{}, err
-	}
-	send := make([]kernel.Addr, procs)
-	recv := make([]kernel.Addr, procs)
-	for r := 0; r < procs; r++ {
-		send[r] = c.Rank(r).Alloc(sendLen)
-		recv[r] = c.Rank(r).Alloc(recvLen)
-		fillPattern(c, kind, r, count, send[r], recv[r], sendLen, recvLen)
+	send, recv, sends := seedComm(c, kind, count)
+	// The first attempt's entry skew, drawn as collective draws it; the
+	// re-run starts unskewed.
+	var skew []float64
+	if opts.SkewSeed != 0 && opts.MaxSkew > 0 {
+		skew = drawSkew(opts.SkewSeed, opts.MaxSkew, procs)
 	}
 
 	// Per-original-rank instants; killed ranks leave their slots at 0 and
@@ -117,10 +111,11 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 	survived := make([]bool, procs)
 
 	// Survivor-communicator state, published by the rank goroutines (the
-	// simulator runs one at a time, so plain writes are safe). recv2 is
-	// indexed by post-shrink rank ID; only the first Survivors entries
-	// are used.
+	// simulator runs one at a time, so plain writes are safe). recv2 and
+	// sends2 are indexed by post-shrink rank ID; only the first
+	// Survivors entries are used.
 	recv2 := make([]kernel.Addr, procs)
+	sends2 := make([][]byte, procs)
 	var (
 		shrunk    *mpi.Comm
 		newRoot   int
@@ -130,6 +125,9 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 	c.Start(func(r *mpi.Rank) {
 		localErr := r.Protected(func() {
 			r.Barrier()
+			if skew != nil {
+				r.SP.Sleep(skew[r.ID])
+			}
 			starts[r.ID] = r.SP.Now()
 			if d := plan.StragglerDelay(r.ID, 0); d > 0 {
 				if rec != nil {
@@ -167,14 +165,8 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 		if nr.ID == 0 {
 			shrunk, newRoot, rerunName = nc, nroot, nalgo.Name
 		}
-		sl2, rl2, serr := bufSizes(kind, nc.Size(), count)
-		if serr != nil {
-			panic(serr)
-		}
-		send2 := nr.Alloc(sl2)
-		r2 := nr.Alloc(rl2)
-		recv2[nr.ID] = r2
-		fillPattern(nc, kind, nr.ID, count, send2, r2, sl2, rl2)
+		send2, r2, pat := seedBuffers(nr.OS, kind, nc.Size(), nr.ID, count, true)
+		recv2[nr.ID], sends2[nr.ID] = r2, pat
 		nr.Barrier()
 		rerunStarts[r.ID] = r.SP.Now()
 		nalgo.Run(nr, core.Args{Send: send2, Recv: r2, Count: count, Root: nroot})
@@ -207,7 +199,7 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 
 	if verdict == nil {
 		// Clean run: ordinary payload verification, nothing shrank.
-		return res, verifyPayloads(c, kind, root, count, recv)
+		return res, verifyComm(c, kind, root, count, sends, recv)
 	}
 	pd, ok := verdict.(*liveness.PeerDeadError)
 	if !ok {
@@ -228,7 +220,7 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 	res.ShrinkLatency = maxWhere(shrinkEnds, survived) - float64(agreedAt)
 	res.RerunLatency = maxWhere(rerunEnds, survived) - maxWhere(rerunStarts, survived)
 	res.Stats = plan.Stats()
-	return res, verifyPayloads(shrunk, kind, newRoot, count, recv2)
+	return res, verifyComm(shrunk, kind, newRoot, count, sends2[:shrunk.Size()], recv2)
 }
 
 // sameVerdict reports whether two agreed verdicts are equal: both nil,
@@ -265,4 +257,14 @@ func maxWhere(v []float64, ok []bool) float64 {
 		}
 	}
 	return m
+}
+
+// drawSkew returns n seeded entry delays, uniform in [0, max) us.
+func drawSkew(seed int64, max float64, n int) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	skew := make([]float64, n)
+	for i := range skew {
+		skew[i] = rng.Float64() * max
+	}
+	return skew
 }

@@ -179,7 +179,7 @@ func TestRecoveredTracedRecordsLiveness(t *testing.T) {
 // TestRecoveredMatchesFreshRun is the metamorphic property: the payload
 // a shrink-then-rerun leaves in the survivors' buffers is exactly what a
 // fresh communicator of the survivor count would produce — which is what
-// verifyPayloads checks against. Here we additionally pin that the
+// the harness verifies against. Here we additionally pin that the
 // re-planned algorithm parameters match a direct Replan at the survivor
 // count.
 func TestRecoveredMatchesFreshRun(t *testing.T) {
