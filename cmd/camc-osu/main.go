@@ -9,13 +9,21 @@
 //	camc-osu -coll scatter -lib mvapich2 -arch power8
 //	camc-osu -coll gather -algo throttle-4 -procs 32
 //	camc-osu -coll allgather -mech xpmem
+//	camc-osu -coll reduce -min 4K -max 1M
 //	camc-osu -list-algos -coll bcast
+//
+// Bad flags (an unknown collective, an empty size ladder, -iters < 1,
+// a negative -procs, an out-of-range -root) exit 2 with a one-line
+// error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"camc/internal/arch"
 	"camc/internal/core"
@@ -23,39 +31,58 @@ import (
 	"camc/internal/libs"
 	"camc/internal/measure"
 	"camc/internal/mpi"
+	"camc/internal/store"
 	"camc/internal/tuner"
 )
 
 func main() {
-	var (
-		collF  = flag.String("coll", "", "collective: scatter, gather, bcast, allgather, alltoall, reduce")
-		libF   = flag.String("lib", "proposed", "library: proposed, mvapich2, intelmpi, openmpi")
-		algoF  = flag.String("algo", "", "specific algorithm name (overrides -lib; see -list-algos)")
-		archF  = flag.String("arch", "knl", "architecture: knl, broadwell, power8")
-		procs  = flag.Int("procs", 0, "process count (default: full subscription)")
-		minF   = flag.Int64("min", 1<<10, "smallest message size in bytes")
-		maxF   = flag.Int64("max", 4<<20, "largest message size in bytes")
-		mechF  = flag.String("mech", "cma", "kernel-assist mechanism: cma, knem, limic, xpmem")
-		listA  = flag.Bool("list-algos", false, "list the algorithm names for -coll")
-		rootF  = flag.Int("root", 0, "root rank for rooted collectives")
-		itersF = flag.Int("iters", 1, "timed invocations per size")
-	)
-	flag.Parse()
-
-	a, err := arch.ByName(*archF)
-	if err != nil {
-		fatal(err)
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	if *collF == "" {
-		flag.Usage()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "camc-osu:", err)
 		os.Exit(2)
 	}
+}
+
+// run is the testable entry point: it parses args, validates every
+// flag before simulating anything, and prints the latency table to
+// stdout. Every error it returns is a usage error.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("camc-osu", flag.ContinueOnError)
+	var (
+		collF  = fs.String("coll", "", "collective: scatter, gather, bcast, allgather, alltoall, reduce")
+		libF   = fs.String("lib", "proposed", "library: proposed, mvapich2, intelmpi, openmpi")
+		algoF  = fs.String("algo", "", "specific algorithm name (overrides -lib; see -list-algos)")
+		archF  = fs.String("arch", "knl", "architecture: knl, broadwell, power8")
+		procs  = fs.Int("procs", 0, "process count (default: full subscription)")
+		minF   = fs.String("min", "1K", "smallest message size in bytes, with optional K/M suffix")
+		maxF   = fs.String("max", "4M", "largest message size in bytes, with optional K/M suffix")
+		mechF  = fs.String("mech", "cma", "kernel-assist mechanism: cma, knem, limic, xpmem")
+		listA  = fs.Bool("list-algos", false, "list the algorithm names for -coll")
+		rootF  = fs.Int("root", 0, "root rank for rooted collectives")
+		itersF = fs.Int("iters", 1, "timed invocations per size")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (camc-osu takes flags only)", fs.Arg(0))
+	}
+	a, err := arch.ByName(*archF)
+	if err != nil {
+		return err
+	}
 	kind := core.Kind(*collF)
+	if !slices.Contains(core.SpecKinds(), kind) {
+		return fmt.Errorf("unknown -coll %q (want one of %v)", *collF, core.SpecKinds())
+	}
 	if *listA {
 		for _, al := range tuner.Candidates(kind, a) {
-			fmt.Println(al.Name)
+			fmt.Fprintln(stdout, al.Name)
 		}
-		return
+		return nil
 	}
 
 	var algo func(*mpi.Rank, core.Args)
@@ -69,14 +96,14 @@ func main() {
 			}
 		}
 		if algo == nil {
-			fatal(fmt.Errorf("unknown algorithm %q for %s (use -list-algos)", *algoF, kind))
+			return fmt.Errorf("unknown algorithm %q for %s (use -list-algos)", *algoF, kind)
 		}
 	case kind == core.KindReduce:
 		algo, label = core.TunedReduce, "tuned-reduce"
 	default:
 		l, ok := libs.ByName(*libF)
 		if !ok {
-			fatal(fmt.Errorf("unknown library %q", *libF))
+			return fmt.Errorf("unknown library %q", *libF)
 		}
 		algo, label = l.Collective(kind), l.Name
 	}
@@ -92,29 +119,37 @@ func main() {
 	case "xpmem":
 		mech = kernel.MechXPMEM
 	default:
-		fatal(fmt.Errorf("unknown mechanism %q", *mechF))
+		return fmt.Errorf("unknown mechanism %q", *mechF)
 	}
 
+	if *procs < 0 {
+		return fmt.Errorf("negative -procs %d (0 = full subscription)", *procs)
+	}
 	np := *procs
 	if np == 0 {
 		np = a.DefaultProcs
 	}
-	fmt.Printf("# CAMC %s latency test\n", kind)
-	fmt.Printf("# %s, %d processes, %s via %s\n", a.Display, np, label, mech)
-	fmt.Printf("%-12s %16s\n", "# Size", "Latency (us)")
-	mKind := kind
-	if kind == core.KindReduce {
-		mKind = core.KindGather // same buffer shape
+	if *rootF < 0 || *rootF >= np {
+		return fmt.Errorf("-root %d out of range for %d processes", *rootF, np)
 	}
-	for size := *minF; size <= *maxF; size <<= 1 {
-		lat := measure.Collective(a, mKind, algo, size, measure.Options{
+	if *itersF < 1 {
+		return fmt.Errorf("-iters %d: need at least one timed invocation", *itersF)
+	}
+	lo, okLo := store.ParseSizeLabel(*minF)
+	hi, okHi := store.ParseSizeLabel(*maxF)
+	sizes := measure.Sizes(lo, hi)
+	if !okLo || !okHi || len(sizes) == 0 {
+		return fmt.Errorf("empty size ladder -min %s -max %s (want 0 < min <= max)", *minF, *maxF)
+	}
+
+	fmt.Fprintf(stdout, "# CAMC %s latency test\n", kind)
+	fmt.Fprintf(stdout, "# %s, %d processes, %s via %s\n", a.Display, np, label, mech)
+	fmt.Fprintf(stdout, "%-12s %16s\n", "# Size", "Latency (us)")
+	for _, size := range sizes {
+		lat := measure.Collective(a, kind, algo, size, measure.Options{
 			Procs: np, Root: *rootF, Iters: *itersF, Mechanism: mech,
 		})
-		fmt.Printf("%-12d %16.2f\n", size, lat)
+		fmt.Fprintf(stdout, "%-12d %16.2f\n", size, lat)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "camc-osu:", err)
-	os.Exit(2)
+	return nil
 }

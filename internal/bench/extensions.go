@@ -163,7 +163,7 @@ func init() {
 				{"flat-sequential", core.ReduceFlat},
 			}
 			vals := parMap(o, len(algos)*len(sizes), func(i int) float64 {
-				return measure.Collective(a, core.KindGather,
+				return measure.Collective(a, core.KindReduce,
 					algos[i/len(sizes)].run, sizes[i%len(sizes)], measure.Options{})
 			})
 			for ai, al := range algos {

@@ -55,9 +55,9 @@ func init() {
 				{"allgather/ring-source", core.KindAllgather, core.AllgatherRingSourceRead, pr.AllgatherRing},
 				{"allgather/bruck", core.KindAllgather, core.AllgatherBruck, pr.AllgatherBruck},
 				{"alltoall/pairwise-coll", core.KindAlltoall, core.AlltoallPairwiseColl, pr.AlltoallPairwise},
-				{"reduce/flat", core.KindGather, core.ReduceFlat, pr.ReduceFlat},
-				{"reduce/knomial-2", core.KindGather, core.ReduceKnomial(2), func(n int64) float64 { return pr.ReduceKnomial(n, 2) }},
-				{"reduce/parallel-write", core.KindGather, core.ReduceParallelWrite, pr.ReduceParallelWrite},
+				{"reduce/flat", core.KindReduce, core.ReduceFlat, pr.ReduceFlat},
+				{"reduce/knomial-2", core.KindReduce, core.ReduceKnomial(2), func(n int64) float64 { return pr.ReduceKnomial(n, 2) }},
+				{"reduce/parallel-write", core.KindReduce, core.ReduceParallelWrite, pr.ReduceParallelWrite},
 			}
 			t := Table{
 				Title:   "Closed-form prediction error (%) vs simulated latency, " + a.Display,

@@ -80,7 +80,7 @@ func RunOne(sp Spec) (*RunResult, error) {
 	if fcfg != nil && fcfg.KillProb > 0 {
 		return runRecovered(sp, prof, fcfg)
 	}
-	return runDifferential(sp, prof, fcfg)
+	return runPayload(sp, prof, fcfg, true, false)
 }
 
 // runCluster is the multi-node oracle path: the spec's collective runs
@@ -172,33 +172,23 @@ func runClusterRecovered(sp Spec, prof *arch.Profile, fcfg *fault.Config) (*RunR
 	return res, violationsErr(res)
 }
 
-// runDifferential is the oracle path: seeded payloads in, algorithm
-// runs traced, receive buffers compared byte-for-byte against
-// Reference, then the invariant registry.
-func runDifferential(sp Spec, prof *arch.Profile, fcfg *fault.Config) (*RunResult, error) {
-	return runPayload(sp, prof, fcfg, true, false)
-}
-
-// runPayload is one arm of a payload-carrying execution. materialize
-// selects real bytes (CopyData) and with them the byte-level oracle
-// comparison against the reference executor; track selects per-page
-// digest folding (mpi.Config.Sparse). The two knobs are independent:
-// (true, false) is the classic differential path, (true, true) and
-// (false, true) are the two arms SparseCrossCheck compares.
+// runPayload is one arm of a payload-carrying execution: seeded
+// payloads in, the algorithm timed traced through measure.Time, then the
+// invariant registry. materialize selects real bytes (CopyData) and
+// with them the byte-level oracle comparison against the reference
+// executor; track selects per-page digest folding (mpi.Config.Sparse).
+// The two knobs are independent: (true, false) is the differential
+// oracle path, (true, true) and (false, true) are the two arms
+// SparseCrossCheck compares.
 func runPayload(sp Spec, prof *arch.Profile, fcfg *fault.Config, materialize, track bool) (*RunResult, error) {
 	algo, err := core.LookupAlgorithm(sp.Kind, sp.Algo)
 	if err != nil {
 		return nil, err
 	}
 	p := sp.Procs
-	mem := (8*int64(p) + 16) * (sp.Count + int64(prof.PageSize))
-	if mem < 1<<20 {
-		mem = 1 << 20
-	}
-	c := mpi.New(mpi.Config{Arch: prof, Procs: p, CopyData: materialize, Sparse: track, MemPerProc: mem, Ambient: sp.Ambient, Fault: fcfg})
+	c := mpi.New(mpi.Config{Arch: prof, Procs: p, CopyData: materialize, Sparse: track, MemPerProc: measure.MemPerRank(prof, p, sp.Count, 1), Ambient: sp.Ambient, Fault: fcfg})
 	rec := trace.NewUnbound()
 	c.AttachTrace(rec)
-	plan := c.FaultPlan()
 
 	proc := func(r int) *kernel.Process { return c.Rank(r).OS }
 	b, err := seedRandom(sp, p, proc)
@@ -206,28 +196,12 @@ func runPayload(sp Spec, prof *arch.Profile, fcfg *fault.Config, materialize, tr
 		return nil, err
 	}
 
-	starts := make([]float64, p)
-	ends := make([]float64, p)
-	c.Start(func(r *mpi.Rank) {
-		r.Barrier()
-		if b.skew != nil {
-			r.SP.Sleep(b.skew[r.ID])
-		}
-		starts[r.ID] = r.SP.Now()
-		if d := plan.StragglerDelay(r.ID, 0); d > 0 {
-			rec.Instant(r.ID, trace.CatFault, "straggle", trace.F("delay", d))
-			r.SP.Sleep(d)
-		}
-		algo.Run(r, core.Args{Send: b.send[r.ID], Recv: b.recv[r.ID], Count: sp.Count, Root: sp.Root})
-		ends[r.ID] = r.SP.Now()
-		r.Barrier()
-	})
 	res := &RunResult{Spec: sp, Rec: rec, Procs: p}
-	if err := c.Sim.Run(); err != nil {
+	res.Latency, err = measure.Time(c, algo.Run, b.send, b.recv, sp.Count, sp.Root, 1, b.skew)
+	if err != nil {
 		return res, fmt.Errorf("check: %s: simulation failed: %v", sp, err)
 	}
-	res.Latency = maxOf(ends) - maxOf(starts)
-	res.Stats = plan.Stats()
+	res.Stats = c.FaultPlan().Stats()
 	res.Events = c.Sim.EventsProcessed()
 	if track {
 		res.Digests = make([]uint64, p)
@@ -347,14 +321,4 @@ func violationsErr(res *RunResult) error {
 		msgs[i] = v.Error()
 	}
 	return fmt.Errorf("check: %s: %d invariant violation(s): %s", res.Spec, len(vs), strings.Join(msgs, "; "))
-}
-
-func maxOf(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

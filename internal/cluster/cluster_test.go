@@ -175,33 +175,6 @@ func TestPipelinedGatherRejectsBadSegments(t *testing.T) {
 	GatherTwoLevelPipelined(core.TunedGather, 0)
 }
 
-func TestBcastTwoLevelBeatsFlat(t *testing.T) {
-	eta := int64(256 << 10)
-	run := func(nodes int, g func(r *Rank, eta int64)) float64 {
-		cl := knlCluster(nodes, 32)
-		done, err := cl.Run(func(r *Rank) { g(r, eta) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return done
-	}
-	for _, nodes := range []int{2, 4} {
-		two := run(nodes, BcastTwoLevel(core.TunedBcast))
-		flat := run(nodes, BcastFlat(core.TransportPt2pt))
-		if two >= flat {
-			t.Fatalf("%d nodes: two-level bcast %.0f not below flat %.0f", nodes, two, flat)
-		}
-	}
-}
-
-func TestBcastFlatCompletesShm(t *testing.T) {
-	cl := knlCluster(3, 8)
-	g := BcastFlat(core.TransportShm)
-	if _, err := cl.Run(func(r *Rank) { g(r, 64<<10) }); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestScatterTwoLevelCompletes(t *testing.T) {
 	cl := knlCluster(4, 8)
 	scatter := ScatterTwoLevel(core.TunedScatter)

@@ -1042,39 +1042,6 @@ func ScatterFlat(tr core.Transport) func(r *Rank, eta int64) {
 	}
 }
 
-// BcastTwoLevel is the hierarchical broadcast: the root ships the
-// message to each node leader over the fabric, then every node runs the
-// given intra-node broadcast in parallel.
-func BcastTwoLevel(intra func(*mpi.Rank, core.Args)) func(r *Rank, eta int64) {
-	return func(r *Rank, eta int64) {
-		cl := r.cluster
-		buf := r.Alloc(eta)
-		if r.ID == 0 {
-			if r.Node == 0 {
-				for n := 1; n < cl.NumNodes; n++ {
-					r.NetSend(n*cl.PPN, buf, eta)
-				}
-			} else {
-				r.NetRecv(0, buf, eta)
-			}
-		}
-		// Intra-node phase: local rank 0 is the node root. Send and Recv
-		// are the same buffer here (leaders hold the payload; the roles
-		// inside core's bcast algorithms pick the right one).
-		intra(r.Rank, core.Args{Send: buf, Recv: buf, Count: eta, Root: 0})
-	}
-}
-
-// BcastFlat is the single-level comparator: a binomial tree over world
-// ranks with mixed intra-node/network edges.
-func BcastFlat(tr core.Transport) func(r *Rank, eta int64) {
-	return func(r *Rank, eta int64) {
-		h := &hier{cl: r.cluster, tr: tr}
-		buf := r.Alloc(eta)
-		h.flatBcast(r, Args{Send: buf, Recv: buf, Count: eta, Root: 0})
-	}
-}
-
 // ScatterTwoLevel mirrors GatherTwoLevel for the root-to-all direction.
 func ScatterTwoLevel(intra func(*mpi.Rank, core.Args)) func(r *Rank, eta int64) {
 	return func(r *Rank, eta int64) {

@@ -1,6 +1,6 @@
 package core
 
-// Reduce and Allreduce: the paper's §IX future work ("we plan to extend
+// Reduce: the paper's §IX future work ("we plan to extend
 // these designs to other collectives"), built here with the same
 // contention-aware machinery. Reduce combines one Count-byte vector per
 // rank elementwise at the root (the simulation's operator is byte-wise
@@ -170,24 +170,9 @@ func TunedReduce(r *mpi.Rank, a Args) {
 	ReduceKnomial(2)(r, a)
 }
 
-// AllreduceReduceBcast composes the tuned Reduce with the tuned Bcast —
-// the straightforward contention-aware Allreduce. The root's reduced
-// vector lands in Recv everywhere.
-func AllreduceReduceBcast(r *mpi.Rank, a Args) {
-	a.validate(r)
-	TunedReduce(r, a)
-	// Broadcast the result from the root's Recv buffer.
-	b := a
-	b.Send = a.Recv
-	TunedBcast(r, b)
-}
-
-// KindReduce and KindAllreduce extend the collective registry for the
-// future-work designs.
-const (
-	KindReduce    Kind = "reduce"
-	KindAllreduce Kind = "allreduce"
-)
+// KindReduce extends the collective registry for the future-work
+// designs.
+const KindReduce Kind = "reduce"
 
 // ReduceAlgorithms returns the registered Reduce implementations.
 func ReduceAlgorithms(ks ...int) []Algorithm {

@@ -62,40 +62,6 @@ func TestTunedReduceCorrectAcrossThreshold(t *testing.T) {
 	}
 }
 
-func TestAllreduceEveryRankGetsResult(t *testing.T) {
-	p := 8
-	const count = 6000
-	c := mpi.New(mpi.Config{Arch: arch.KNL(), Procs: p, CopyData: true, MemPerProc: 64 << 20})
-	send := make([]kernel.Addr, p)
-	recv := make([]kernel.Addr, p)
-	for i := 0; i < p; i++ {
-		send[i] = c.Rank(i).Alloc(count)
-		recv[i] = c.Rank(i).Alloc(count)
-		buf := c.Rank(i).OS.Bytes(send[i], count)
-		for j := range buf {
-			buf[j] = byte(i + j%17)
-		}
-	}
-	c.Start(func(r *mpi.Rank) {
-		AllreduceReduceBcast(r, Args{Send: send[r.ID], Recv: recv[r.ID], Count: count, Root: 0})
-	})
-	if err := c.Sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < p; i++ {
-		got := c.Rank(i).OS.Bytes(recv[i], count)
-		for _, j := range sampleOffsets(count) {
-			var want byte
-			for s := 0; s < p; s++ {
-				want += byte(s + int(j)%17)
-			}
-			if got[j] != want {
-				t.Fatalf("rank %d offset %d: got %d want %d", i, j, got[j], want)
-			}
-		}
-	}
-}
-
 // reduceLatency measures one dataless Reduce invocation at full KNL
 // subscription (the measure package cannot be used here: it imports
 // core).

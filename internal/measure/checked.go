@@ -9,64 +9,29 @@ import (
 	"camc/internal/kernel"
 	"camc/internal/mpi"
 	"camc/internal/payload"
-	"camc/internal/trace"
 )
 
-// CollectiveChecked runs one collective invocation with real data
-// movement and verifies that every byte of every receive buffer landed
-// exactly per MPI semantics, then returns the invocation latency and
-// the fault statistics the run accumulated. It is the measurement core
-// of the x8 robustness experiment: under an injected fault plan the
-// latency includes retries, backoff and degraded-path traffic, and the
-// byte verification proves the degradation was graceful — the payload
-// is identical to a fault-free run's.
+// CollectiveChecked times a collective exactly like Collective — the
+// same window (Time), skew and fault plan — but with real data movement,
+// verifies that every byte of every receive buffer landed exactly per
+// MPI semantics, then returns the latency and the fault statistics the
+// run accumulated. It is the measurement core of the x8 robustness
+// experiment: under an injected fault plan the latency includes
+// retries, backoff and degraded-path traffic, and the byte verification
+// proves the degradation was graceful — the payload is identical to a
+// fault-free run's.
 func CollectiveChecked(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args), count int64, opts Options) (float64, fault.Stats, error) {
-	procs := opts.Procs
-	if procs == 0 {
-		procs = a.DefaultProcs
-	}
-	root := opts.Root
+	procs, iters := opts.procs(a), opts.iters()
 	if _, _, err := payload.BufSizes(kind, procs, count); err != nil {
 		return 0, fault.Stats{}, err
 	}
-	c := mpi.New(mpi.Config{Arch: a, Procs: procs, CopyData: true, MemPerProc: checkedMem(a, procs, count, opts.Mem), Mechanism: opts.Mechanism, Ambient: opts.Ambient, Fault: opts.Fault, Liveness: opts.Liveness})
-	plan := c.FaultPlan()
+	c := mpi.New(mpi.Config{Arch: a, Procs: procs, CopyData: true, MemPerProc: MemPerRank(a, procs, count, iters), Mechanism: opts.Mechanism, Ambient: opts.Ambient, Fault: opts.Fault, Liveness: opts.Liveness})
 	send, recv, sends := seedComm(c, kind, count)
-
-	starts := make([]float64, procs)
-	ends := make([]float64, procs)
-	rec := c.Tracer()
-	c.Start(func(r *mpi.Rank) {
-		r.Barrier()
-		starts[r.ID] = r.SP.Now()
-		// Straggler skew counts inside the timed window (see collective).
-		if d := plan.StragglerDelay(r.ID, 0); d > 0 {
-			if rec != nil {
-				rec.Instant(r.Lane(), trace.CatFault, "straggle", trace.F("delay", d))
-			}
-			r.SP.Sleep(d)
-		}
-		algo(r, core.Args{Send: send[r.ID], Recv: recv[r.ID], Count: count, Root: root})
-		ends[r.ID] = r.SP.Now()
-		r.Barrier()
-	})
-	if err := c.Sim.Run(); err != nil {
-		return 0, plan.Stats(), err
+	lat, err := Time(c, algo, send, recv, count, opts.Root, iters, opts.skew(procs*iters))
+	if err != nil {
+		return 0, c.FaultPlan().Stats(), err
 	}
-	lat := maxOf(ends) - maxOf(starts)
-	return lat, plan.Stats(), verifyComm(c, kind, root, count, sends, recv)
-}
-
-// checkedMem sizes each rank's virtual memory for a payload-carrying
-// run: mem if set, else room for eight p-block buffers, at least 1 MiB.
-func checkedMem(a *arch.Profile, procs int, count, mem int64) int64 {
-	if mem == 0 {
-		mem = (8*int64(procs) + 16) * (count + int64(a.PageSize))
-		if mem < 1<<20 {
-			mem = 1 << 20
-		}
-	}
-	return mem
+	return lat, c.FaultPlan().Stats(), verifyComm(c, kind, opts.Root, count, sends, recv)
 }
 
 // seedBuffers allocates one rank's send and receive buffers in os for a

@@ -3,10 +3,12 @@ package measure
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"camc/internal/arch"
 	"camc/internal/core"
+	"camc/internal/fault"
 	"camc/internal/mpi"
 )
 
@@ -17,6 +19,12 @@ import (
 // and registered algorithm at 1, 2, 3, 8 and the default rank count.
 // A wrong wake order after the closed-form barrier shifts same-instant
 // contention and changes these bits, so the test pins the order too.
+// Every cell up to 8 ranks, and every hand-picked row below (skewed,
+// multi-iteration and faulted ones included), also runs
+// CollectiveChecked, whose payload-carrying run times through the same
+// window, so its verified latency must equal Collective's as well. The
+// default-rank-count cells skip it: materialized payloads at 160 ranks
+// cost seconds per cell and exercise no other path.
 func TestClosedFormFenceMatchesRealFence(t *testing.T) {
 	archs := arch.All()
 	cell := 0
@@ -35,7 +43,7 @@ func TestClosedFormFenceMatchesRealFence(t *testing.T) {
 				}
 				opts := Options{Procs: procs, Root: p / 2}
 				name := fmt.Sprintf("%s/%s/%s/p%d", kind, info.Name, a.Name, p)
-				checkFence(t, name, a, kind, al.Run, 32<<10, opts)
+				checkFence(t, name, a, kind, al.Run, 32<<10, opts, procs != 0)
 			}
 		}
 	}
@@ -43,20 +51,59 @@ func TestClosedFormFenceMatchesRealFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFence(t, "scatter/throttled:4/iters3", arch.KNL(), core.KindScatter, al.Run, 64<<10, Options{Iters: 3, Root: 5})
+	checkFence(t, "scatter/throttled:4/iters3", arch.KNL(), core.KindScatter, al.Run, 64<<10, Options{Iters: 3, Root: 5}, true)
 	al, err = core.LookupAlgorithm(core.KindBcast, "knomial-read:8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkFence(t, "bcast/knomial-read:8/skew", arch.Broadwell(), core.KindBcast, al.Run, 256<<10,
-		Options{Iters: 2, SkewSeed: 7, MaxSkew: 40})
+		Options{Iters: 2, SkewSeed: 7, MaxSkew: 40}, true)
+	al, err = core.LookupAlgorithm(core.KindGather, "throttled:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFence(t, "gather/throttled:2/skew", arch.KNL(), core.KindGather, al.Run, 48<<10,
+		Options{Procs: 8, Root: 3, SkewSeed: 11, MaxSkew: 25}, true)
+	cfg, err := fault.Preset("moderate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Seed = 5
+	al, err = core.LookupAlgorithm(core.KindAllgather, "ring-source-read")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFence(t, "allgather/ring-source-read/faults", arch.Power8(), core.KindAllgather, al.Run, 24<<10,
+		Options{Procs: 8, Fault: &cfg}, true)
 }
 
-func checkFence(t *testing.T, name string, a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args), count int64, opts Options) {
+func checkFence(t *testing.T, name string, a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args), count int64, opts Options, checked bool) {
 	t.Helper()
 	plain := Collective(a, kind, algo, count, opts)
 	traced, _ := CollectiveTraced(a, kind, algo, count, opts)
 	if math.Float64bits(plain) != math.Float64bits(traced) {
 		t.Errorf("%s: closed-form fence latency %v != real fence %v", name, plain, traced)
 	}
+	if !checked {
+		return
+	}
+	verified, _, err := CollectiveChecked(a, kind, algo, count, opts)
+	if err != nil {
+		t.Errorf("%s: checked run: %v", name, err)
+	} else if math.Float64bits(verified) != math.Float64bits(plain) {
+		t.Errorf("%s: checked latency %v != Collective's %v", name, verified, plain)
+	}
+}
+
+// TestCollectiveRejectsUnknownKind: a kind payload.BufSizes does not lay
+// out has no buffers to time, so Collective panics naming it instead of
+// timing zero-length buffers.
+func TestCollectiveRejectsUnknownKind(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "allreduce") {
+			t.Fatalf("recovered %v, want a panic naming the kind", r)
+		}
+	}()
+	Collective(arch.KNL(), core.Kind("allreduce"), core.TunedBcast, 4<<10, Options{Procs: 4})
 }

@@ -7,7 +7,6 @@ package measure
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 
 	"camc/internal/arch"
@@ -16,16 +15,16 @@ import (
 	"camc/internal/kernel"
 	"camc/internal/liveness"
 	"camc/internal/mpi"
+	"camc/internal/payload"
 	"camc/internal/sim"
 	"camc/internal/trace"
 )
 
 // Options configures a measurement.
 type Options struct {
-	Procs int   // ranks; 0 = architecture default (full subscription)
-	Iters int   // timed invocations; 0 = 1
-	Root  int   // root for rooted collectives
-	Mem   int64 // per-rank address space; 0 = sized automatically
+	Procs int // ranks; 0 = architecture default (full subscription)
+	Iters int // timed invocations; 0 = 1
+	Root  int // root for rooted collectives
 
 	// Mechanism selects the kernel-assist facility (default CMA).
 	Mechanism kernel.Mechanism
@@ -35,12 +34,6 @@ type Options struct {
 	// sample. The tuner sweeps it to show how tuned crossovers shift
 	// under multi-tenant interference (x13).
 	Ambient int
-
-	// Sparse enables per-page payload digest tracking (mpi.Config.Sparse)
-	// on the otherwise dataless measurement run. Latencies are unaffected;
-	// harnesses that cross-check digest equality against a materialized
-	// run set it.
-	Sparse bool
 
 	// SkewSeed, when non-zero, injects a deterministic random start
 	// delay of up to MaxSkew microseconds per rank before each timed
@@ -66,7 +59,9 @@ type Options struct {
 // Collective returns the latency in microseconds of one collective
 // invocation: the time from the instant the last rank enters the
 // operation to the instant the last rank leaves it, averaged over
-// Options.Iters invocations. Runs are cost-only (no data movement).
+// Options.Iters invocations (see Time). Runs are cost-only (no data
+// movement). It panics on a kind payload.BufSizes does not lay out and
+// on a simulation error.
 func Collective(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args), count int64, opts Options) float64 {
 	return collective(a, kind, algo, count, opts, nil)
 }
@@ -87,15 +82,17 @@ func CollectiveTraced(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core
 // stops re-allocating resume channels.
 var simPool = sync.Pool{New: func() any { return sim.New() }}
 
-// scratch is the per-cell working set the sweep loop reuses instead of
-// re-allocating: buffer address tables, the start/end timestamp arrays,
-// and the skew schedule.
-type scratch struct {
-	send, recv         []kernel.Addr
-	starts, ends, skew []float64
-}
+// bufs and window are the per-cell working sets the sweep loop reuses
+// instead of re-allocating: the buffer address tables, and the timing
+// window's start/end timestamp arrays.
+type bufs struct{ send, recv []kernel.Addr }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+type window struct{ starts, ends []float64 }
+
+var (
+	bufsPool   = sync.Pool{New: func() any { return new(bufs) }}
+	windowPool = sync.Pool{New: func() any { return new(window) }}
+)
 
 func addrs(s []kernel.Addr, n int) []kernel.Addr {
 	if cap(s) < n {
@@ -112,9 +109,9 @@ func floats(s []float64, n int) []float64 {
 }
 
 // satMul multiplies non-negative int64s, saturating at MaxInt64 instead
-// of wrapping. The generous-mem heuristic below multiplies procs, count
-// and iters — at 64k ranks × megabyte counts the naive product wraps
-// negative and NewProcess would panic on a "negative" limit.
+// of wrapping. MemPerRank multiplies procs, count and iters — at 64k
+// ranks × megabyte counts the naive product wraps negative and
+// NewProcess would panic on a "negative" limit.
 func satMul(a, b int64) int64 {
 	if a == 0 || b == 0 {
 		return 0
@@ -125,63 +122,85 @@ func satMul(a, b int64) int64 {
 	return a * b
 }
 
+// MemPerRank sizes each rank's virtual address space for a procs-rank
+// collective of count-byte blocks timed over iters invocations: p
+// blocks for send and recv plus staging room for Bruck-style algorithms
+// per iteration, at least 4 MiB. The limit is purely virtual (pages
+// materialize only when written), so saturating at MaxInt64 is
+// harmless — overflow-wrapping to a negative limit is not.
+func MemPerRank(a *arch.Profile, procs int, count int64, iters int) int64 {
+	mem := satMul(satMul(4*int64(procs)+8, count+int64(a.PageSize)), int64(iters+1))
+	return max(mem, 1<<22)
+}
+
+func (o Options) procs(a *arch.Profile) int {
+	if o.Procs == 0 {
+		return a.DefaultProcs
+	}
+	return o.Procs
+}
+
+func (o Options) iters() int {
+	if o.Iters == 0 {
+		return 1
+	}
+	return o.Iters
+}
+
+// skew draws the entry skew of n rank-invocations (nil without
+// SkewSeed/MaxSkew).
+func (o Options) skew(n int) []float64 {
+	if o.SkewSeed == 0 || o.MaxSkew <= 0 {
+		return nil
+	}
+	return drawSkew(o.SkewSeed, o.MaxSkew, n)
+}
+
 func collective(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args), count int64, opts Options, rec *trace.Recorder) float64 {
-	procs := opts.Procs
-	if procs == 0 {
-		procs = a.DefaultProcs
-	}
-	iters := opts.Iters
-	if iters == 0 {
-		iters = 1
-	}
-	mem := opts.Mem
-	if mem == 0 {
-		// Generous virtual sizing: p blocks for send and recv plus
-		// staging room for Bruck-style algorithms per iteration. The
-		// limit is purely virtual (pages materialize only when written),
-		// so saturating at MaxInt64 is harmless — overflow-wrapping to a
-		// negative limit is not.
-		mem = satMul(satMul(4*int64(procs)+8, count+int64(a.PageSize)), int64(iters+1))
-		if mem < 1<<22 {
-			mem = 1 << 22
-		}
+	procs, iters := opts.procs(a), opts.iters()
+	sendLen, recvLen, err := payload.BufSizes(kind, procs, count)
+	if err != nil {
+		panic(err)
 	}
 	sm := simPool.Get().(*sim.Simulation)
-	c := mpi.New(mpi.Config{Arch: a, Procs: procs, CopyData: false, Sparse: opts.Sparse, Sim: sm, MemPerProc: mem, Mechanism: opts.Mechanism, Ambient: opts.Ambient, Fault: opts.Fault, Liveness: opts.Liveness})
+	c := mpi.New(mpi.Config{Arch: a, Procs: procs, Sim: sm, MemPerProc: MemPerRank(a, procs, count, iters), Mechanism: opts.Mechanism, Ambient: opts.Ambient, Fault: opts.Fault, Liveness: opts.Liveness})
 	c.AttachTrace(rec)
-	plan := c.FaultPlan()
-	sc := scratchPool.Get().(*scratch)
-	var skew []float64
-	if opts.SkewSeed != 0 && opts.MaxSkew > 0 {
-		rng := rand.New(rand.NewSource(opts.SkewSeed))
-		skew = floats(sc.skew, procs*iters)
-		sc.skew = skew
-		for i := range skew {
-			skew[i] = rng.Float64() * opts.MaxSkew
-		}
-	}
-	send := addrs(sc.send, procs)
-	recv := addrs(sc.recv, procs)
-	sc.send, sc.recv = send, recv
-	blocks := int64(procs)
-	var sendLen, recvLen int64
-	switch kind {
-	case core.KindScatter:
-		sendLen, recvLen = blocks*count, count
-	case core.KindGather:
-		sendLen, recvLen = count, blocks*count
-	case core.KindAlltoall, core.KindAllgather:
-		sendLen, recvLen = blocks*count, blocks*count
-	case core.KindBcast:
-		sendLen, recvLen = count, count
-	}
+	b := bufsPool.Get().(*bufs)
+	send, recv := addrs(b.send, procs), addrs(b.recv, procs)
+	b.send, b.recv = send, recv
 	for i := 0; i < procs; i++ {
 		send[i] = c.Rank(i).Alloc(sendLen)
 		recv[i] = c.Rank(i).Alloc(recvLen)
 	}
-	starts := floats(sc.starts, procs)
-	ends := floats(sc.ends, procs)
-	sc.starts, sc.ends = starts, ends
+	lat, err := Time(c, algo, send, recv, count, opts.Root, iters, opts.skew(procs*iters))
+	if err != nil {
+		panic(err)
+	}
+	// A nil Run error means every process finished, so the simulation
+	// Resets cleanly; recycle it (and the buffer tables) for the next
+	// cell. Panic paths simply drop both — correctness over reuse.
+	sm.Reset()
+	simPool.Put(sm)
+	bufsPool.Put(b)
+	return lat
+}
+
+// Time runs algo iters times on every rank of c inside the OSU-style
+// fenced timing window and returns the mean latency in microseconds:
+// per invocation, the time from the instant the last rank enters to
+// the instant the last rank leaves. Rank r runs with Send send[r] and
+// Recv recv[r]. Each invocation is, per rank: the entry barrier, the
+// rank's entry skew (skew[it*p+r] when skew is non-nil), the fault
+// plan's straggler delay, the algorithm, and the exit barrier. It is
+// the one single-node timing loop: Collective, CollectiveChecked and
+// the differential checker all time through it. The error is the
+// simulation's (a deadlock or a rank's panic).
+func Time(c *mpi.Comm, algo func(*mpi.Rank, core.Args), send, recv []kernel.Addr, count int64, root, iters int, skew []float64) (float64, error) {
+	p := c.Size()
+	w := windowPool.Get().(*window)
+	starts, ends := floats(w.starts, p), floats(w.ends, p)
+	w.starts, w.ends = starts, ends
+	rec, plan := c.Tracer(), c.FaultPlan()
 	// The plain path — no recorder, no active fault plan, no liveness
 	// board — costs the fence in closed form at the same virtual time.
 	// The first entry barrier, entered by every rank at t=0, sleeps
@@ -202,7 +221,7 @@ func collective(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args)
 				r.Barrier()
 			}
 			if skew != nil {
-				r.SP.Sleep(skew[it*procs+r.ID])
+				r.SP.Sleep(skew[it*p+r.ID])
 			}
 			starts[r.ID] = r.SP.Now()
 			// Straggler skew counts inside the timed window: the rank has
@@ -214,7 +233,7 @@ func collective(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args)
 				}
 				r.SP.Sleep(d)
 			}
-			algo(r, core.Args{Send: send[r.ID], Recv: recv[r.ID], Count: count, Root: opts.Root})
+			algo(r, core.Args{Send: send[r.ID], Recv: recv[r.ID], Count: count, Root: root})
 			ends[r.ID] = r.SP.Now()
 			if plain && it == iters-1 {
 				return
@@ -226,18 +245,13 @@ func collective(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args)
 		}
 	})
 	if err := c.Sim.Run(); err != nil {
-		panic(err)
+		return 0, err
 	}
 	if plain {
 		total += maxOf(ends) - maxOf(starts)
 	}
-	// A nil Run error means every process finished, so the simulation
-	// Resets cleanly; recycle it (and the scratch) for the next cell.
-	// Panic paths simply drop both — correctness over reuse.
-	sm.Reset()
-	simPool.Put(sm)
-	scratchPool.Put(sc)
-	return total / float64(iters)
+	windowPool.Put(w)
+	return total / float64(iters), nil
 }
 
 func maxOf(v []float64) float64 {
@@ -267,14 +281,17 @@ func Sweep(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args), siz
 // Sizes builds a power-of-two size ladder [lo, hi]. Degenerate requests
 // come back empty rather than looping or panicking: lo must be
 // positive (a zero or negative lo would never double its way past hi)
-// and the range must be non-empty.
+// and the range must be non-empty. The ladder stops before doubling
+// past hi, so a hi near MaxInt64 cannot overflow it into a spin.
 func Sizes(lo, hi int64) []int64 {
 	if lo <= 0 || hi < lo {
 		return nil
 	}
 	var out []int64
-	for s := lo; s <= hi; s *= 2 {
+	for s := lo; ; s *= 2 {
 		out = append(out, s)
+		if s > hi/2 {
+			return out
+		}
 	}
-	return out
 }

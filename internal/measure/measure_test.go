@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"math"
 	"testing"
 
 	"camc/internal/arch"
@@ -37,6 +38,11 @@ func TestSizesDegenerate(t *testing.T) {
 	}
 	if got := Sizes(64, 64); len(got) != 1 || got[0] != 64 {
 		t.Errorf("Sizes(64, 64) = %v, want [64]", got)
+	}
+	// A hi near MaxInt64 must stop the ladder, not overflow the next
+	// doubling into a negative size that is still <= hi.
+	if got := Sizes(1<<62, math.MaxInt64); len(got) != 1 || got[0] != 1<<62 {
+		t.Errorf("Sizes(1<<62, MaxInt64) = %v, want [1<<62]", got)
 	}
 }
 

@@ -70,10 +70,7 @@ func CollectiveRecoveredTraced(a *arch.Profile, kind core.Kind, spec string, cou
 }
 
 func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int64, opts Options, rec *trace.Recorder) (RecoveryResult, error) {
-	procs := opts.Procs
-	if procs == 0 {
-		procs = a.DefaultProcs
-	}
+	procs := opts.procs(a)
 	root := opts.Root
 	algo, err := core.LookupAlgorithm(kind, spec)
 	if err != nil {
@@ -87,18 +84,15 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 	if _, _, err := payload.BufSizes(kind, procs, count); err != nil {
 		return RecoveryResult{}, err
 	}
-	c := mpi.New(mpi.Config{Arch: a, Procs: procs, CopyData: true, MemPerProc: checkedMem(a, procs, count, opts.Mem),
+	c := mpi.New(mpi.Config{Arch: a, Procs: procs, CopyData: true, MemPerProc: MemPerRank(a, procs, count, 1),
 		Mechanism: opts.Mechanism, Ambient: opts.Ambient, Fault: opts.Fault, Liveness: lcfg})
 	c.AttachTrace(rec)
 	plan := c.FaultPlan()
 	board := c.Liveness() // pre-shrink board: holds death + agreement instants
 	send, recv, sends := seedComm(c, kind, count)
-	// The first attempt's entry skew, drawn as collective draws it; the
+	// The first attempt's entry skew, drawn as Collective draws it; the
 	// re-run starts unskewed.
-	var skew []float64
-	if opts.SkewSeed != 0 && opts.MaxSkew > 0 {
-		skew = drawSkew(opts.SkewSeed, opts.MaxSkew, procs)
-	}
+	skew := opts.skew(procs)
 
 	// Per-original-rank instants; killed ranks leave their slots at 0 and
 	// are excluded from the max/min reductions below.

@@ -228,16 +228,16 @@ func TestModelValidationReduce(t *testing.T) {
 	p := Estimate(a)
 	pr := NewPredictor(p, a.DefaultProcs)
 	for _, eta := range []int64{256 << 10, 1 << 20} {
-		m := measure.Collective(a, core.KindGather, core.ReduceFlat, eta, measure.Options{})
+		m := measure.Collective(a, core.KindReduce, core.ReduceFlat, eta, measure.Options{})
 		validate(t, "reduce/flat", pr.ReduceFlat(eta), m, 0.25)
 
-		m = measure.Collective(a, core.KindGather, core.ReduceParallelWrite, eta, measure.Options{})
+		m = measure.Collective(a, core.KindReduce, core.ReduceParallelWrite, eta, measure.Options{})
 		validate(t, "reduce/parallel-write", pr.ReduceParallelWrite(eta), m, 0.30)
 
-		m = measure.Collective(a, core.KindGather, core.ReduceKnomial(2), eta, measure.Options{})
+		m = measure.Collective(a, core.KindReduce, core.ReduceKnomial(2), eta, measure.Options{})
 		validate(t, "reduce/knomial-2", pr.ReduceKnomial(eta, 2), m, 0.30)
 
-		m = measure.Collective(a, core.KindGather, core.ReduceKnomial(9), eta, measure.Options{})
+		m = measure.Collective(a, core.KindReduce, core.ReduceKnomial(9), eta, measure.Options{})
 		validate(t, "reduce/knomial-9", pr.ReduceKnomial(eta, 9), m, 0.30)
 	}
 }

@@ -24,42 +24,3 @@ func Example() {
 	}
 	// Output: got "payload" at t=5us
 }
-
-// A semaphore bounds concurrency the way the paper's throttled
-// collectives do: six 10µs jobs through two slots take three waves.
-func ExampleSemaphore() {
-	s := sim.New()
-	sem := sim.NewSemaphore(s, 2)
-	for i := 0; i < 6; i++ {
-		s.Spawn(fmt.Sprintf("job%d", i), func(p *sim.Proc) {
-			sem.Acquire(p, 1)
-			p.Sleep(10)
-			sem.Release(1)
-		})
-	}
-	if err := s.Run(); err != nil {
-		panic(err)
-	}
-	fmt.Printf("all jobs done at t=%.0fus\n", s.Now())
-	// Output: all jobs done at t=30us
-}
-
-// A barrier releases every participant at the time the last one arrives.
-func ExampleBarrier() {
-	s := sim.New()
-	b := sim.NewBarrier(s, 3)
-	for i := 1; i <= 3; i++ {
-		i := i
-		s.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
-			p.Sleep(float64(i * 10)) // arrive at 10, 20, 30
-			b.Wait(p)
-			if i == 1 {
-				fmt.Printf("released at t=%.0fus\n", p.Now())
-			}
-		})
-	}
-	if err := s.Run(); err != nil {
-		panic(err)
-	}
-	// Output: released at t=30us
-}

@@ -4,10 +4,9 @@
 //
 // Simulated processes are goroutines, but exactly one of them runs at any
 // instant: a single scheduling token circulates between the processes and
-// the scheduler. All synchronization primitives (Chan, Mutex, Semaphore,
-// Barrier, WaitGroup) operate in virtual time with FIFO waiter queues and
-// a (time, sequence) ordered event heap, so a simulation run is
-// bit-for-bit reproducible.
+// the scheduler. The synchronization primitives (Chan, Mutex) operate in
+// virtual time with FIFO waiter queues and a (time, sequence) ordered
+// event heap, so a simulation run is bit-for-bit reproducible.
 //
 // The dispatcher is built for throughput: the event heap is a concrete
 // typed heap (no interface boxing per event), a process that yields hands
@@ -61,9 +60,6 @@ const (
 	blockedChanSendTimed = "chan send (timed)"
 	blockedChanRecvTimed = "chan recv (timed)"
 	blockedMutex         = "mutex lock"
-	blockedSemaphore     = "semaphore acquire"
-	blockedBarrier       = "barrier wait"
-	blockedWaitGroup     = "waitgroup wait"
 )
 
 // schedMsg returns the scheduling token to Run: either the heap drained

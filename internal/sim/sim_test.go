@@ -236,136 +236,6 @@ func TestUnlockOfUnlockedMutexPanics(t *testing.T) {
 	m.Unlock()
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	s := New()
-	sem := NewSemaphore(s, 2)
-	active, maxActive := 0, 0
-	for i := 0; i < 6; i++ {
-		s.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			sem.Acquire(p, 1)
-			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			p.Sleep(1)
-			active--
-			sem.Release(1)
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxActive != 2 {
-		t.Fatalf("max concurrency = %d, want 2", maxActive)
-	}
-	if s.Now() != 3 {
-		t.Fatalf("end = %g, want 3 (6 jobs / 2 slots * 1us)", s.Now())
-	}
-}
-
-func TestSemaphoreMultiPermitFIFO(t *testing.T) {
-	s := New()
-	sem := NewSemaphore(s, 3)
-	var order []string
-	s.Spawn("big", func(p *Proc) {
-		p.Sleep(1)
-		sem.Acquire(p, 3)
-		order = append(order, "big")
-		sem.Release(3)
-	})
-	s.Spawn("small", func(p *Proc) {
-		p.Sleep(2)
-		sem.Acquire(p, 1)
-		order = append(order, "small")
-		sem.Release(1)
-	})
-	s.Spawn("holder", func(p *Proc) {
-		sem.Acquire(p, 1)
-		p.Sleep(5)
-		sem.Release(1)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// big queued first; small must not overtake it even though a permit
-	// was free (strict FIFO prevents starvation).
-	if got := fmt.Sprint(order); got != "[big small]" {
-		t.Fatalf("order = %v, want [big small]", order)
-	}
-}
-
-func TestBarrierReleasesTogetherAndIsReusable(t *testing.T) {
-	s := New()
-	b := NewBarrier(s, 3)
-	var times []Time
-	for i := 0; i < 3; i++ {
-		i := i
-		s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for round := 0; round < 2; round++ {
-				p.Sleep(Time(i + 1)) // arrive staggered
-				b.Wait(p)
-				times = append(times, p.Now())
-			}
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != 6 {
-		t.Fatalf("got %d releases, want 6", len(times))
-	}
-	for _, tm := range times[:3] {
-		if tm != 3 {
-			t.Fatalf("round 1 release at %g, want 3", tm)
-		}
-	}
-	for _, tm := range times[3:] {
-		if tm != 6 {
-			t.Fatalf("round 2 release at %g, want 6", tm)
-		}
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	s := New()
-	wg := NewWaitGroup(s)
-	wg.Add(3)
-	var doneAt Time
-	for i := 0; i < 3; i++ {
-		i := i
-		s.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(Time(i * 2))
-			wg.Done()
-		})
-	}
-	s.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != 4 {
-		t.Fatalf("waiter released at %g, want 4", doneAt)
-	}
-}
-
-func TestWaitGroupZeroDoesNotBlock(t *testing.T) {
-	s := New()
-	wg := NewWaitGroup(s)
-	ran := false
-	s.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		ran = true
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("waiter blocked on zero waitgroup")
-	}
-}
-
 // runPingPong builds a deterministic but nontrivial workload and returns
 // a trace fingerprint, used to check reproducibility.
 func runPingPong(seed int64, procs, msgs int) (Time, uint64, []int) {
@@ -454,15 +324,29 @@ func TestClockMonotonic(t *testing.T) {
 	}
 }
 
+// TestManyProcsStress drives 500 processes through one rendezvous: each
+// arrives at a staggered instant, a gate process collects every arrival
+// and then releases them all, and each released process sleeps once
+// more. The last arrival is at t=16, so everything ends at t=17.
 func TestManyProcsStress(t *testing.T) {
 	s := New()
 	n := 500
-	b := NewBarrier(s, n)
+	arrive := NewChan[int](s, n)
+	release := NewChan[int](s, n)
+	s.Spawn("gate", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			arrive.Recv(p)
+		}
+		for i := 0; i < n; i++ {
+			release.Send(p, i)
+		}
+	})
 	for i := 0; i < n; i++ {
 		i := i
 		s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			p.Sleep(Time(i % 17))
-			b.Wait(p)
+			arrive.Send(p, i)
+			release.Recv(p)
 			p.Sleep(1)
 		})
 	}

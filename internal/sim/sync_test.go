@@ -54,67 +54,13 @@ func TestMutexWaitersCount(t *testing.T) {
 	}
 }
 
-func TestSemaphorePanics(t *testing.T) {
-	s := New()
-	for _, f := range []func(){
-		func() { NewSemaphore(s, -1) },
-		func() { NewSemaphore(s, 1).Release(0) },
-		func() { NewBarrier(s, 0) },
-		func() { NewChan[int](s, -1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestSemaphoreAcquireZeroPanics(t *testing.T) {
-	s := New()
-	sem := NewSemaphore(s, 1)
-	s.Spawn("a", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for Acquire(0)")
-			}
-		}()
-		sem.Acquire(p, 0)
-	})
-	defer func() { recover() }() // the proc panic propagates through Run
-	_ = s.Run()
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	s := New()
-	wg := NewWaitGroup(s)
+func TestChanNegativeCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	wg.Add(-1)
-}
-
-func TestSemaphoreAvailable(t *testing.T) {
-	s := New()
-	sem := NewSemaphore(s, 3)
-	s.Spawn("a", func(p *Proc) {
-		sem.Acquire(p, 2)
-		if sem.Available() != 1 {
-			t.Errorf("available = %d, want 1", sem.Available())
-		}
-		sem.Release(2)
-		if sem.Available() != 3 {
-			t.Errorf("available = %d, want 3", sem.Available())
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	NewChan[int](New(), -1)
 }
 
 func TestChanLen(t *testing.T) {

@@ -1,12 +1,11 @@
 // Package stats provides the small numerical toolbox the model package
-// needs: ordinary linear least squares, polynomial fitting, and a
-// Levenberg–Marquardt nonlinear least-squares solver (the paper fits its
-// contention-factor curves with Marquardt's NLLS algorithm, Fig 5).
+// needs: a Levenberg–Marquardt nonlinear least-squares solver (the paper
+// fits its contention-factor curves with Marquardt's NLLS algorithm,
+// Fig 5), plus the mean and relative error its callers report.
 package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -22,18 +21,8 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// SumSquaredResiduals returns Σ(y−ŷ)².
-func SumSquaredResiduals(y, yhat []float64) float64 {
-	var s float64
-	for i := range y {
-		d := y[i] - yhat[i]
-		s += d * d
-	}
-	return s
-}
-
 // finite reports whether every value in every slice is a real number.
-// The fitters reject NaN/Inf inputs up front: a single poisoned sample
+// LevenbergMarquardt rejects NaN/Inf inputs up front: a single poisoned sample
 // would otherwise propagate silently through the normal equations and
 // come back as NaN coefficients with a nil error.
 func finite(slices ...[]float64) bool {
@@ -48,67 +37,6 @@ func finite(slices ...[]float64) bool {
 }
 
 var errNonFinite = errors.New("stats: non-finite (NaN/Inf) input sample")
-
-// LinearFit fits y = a + b·x by ordinary least squares and returns
-// (a, b).
-func LinearFit(x, y []float64) (a, b float64, err error) {
-	if len(x) != len(y) || len(x) < 2 {
-		return 0, 0, errors.New("stats: need >= 2 paired samples")
-	}
-	if !finite(x, y) {
-		return 0, 0, errNonFinite
-	}
-	n := float64(len(x))
-	var sx, sy, sxx, sxy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, errors.New("stats: degenerate x values")
-	}
-	b = (n*sxy - sx*sy) / den
-	a = (sy - b*sx) / n
-	return a, b, nil
-}
-
-// PolyFit fits y = c0 + c1·x + ... + c_deg·x^deg by least squares using
-// normal equations solved with Gaussian elimination.
-func PolyFit(x, y []float64, deg int) ([]float64, error) {
-	if deg < 0 {
-		return nil, errors.New("stats: negative degree")
-	}
-	n := deg + 1
-	if len(x) != len(y) || len(x) < n {
-		return nil, fmt.Errorf("stats: need >= %d samples for degree %d", n, deg)
-	}
-	if !finite(x, y) {
-		return nil, errNonFinite
-	}
-	// Normal equations: (VᵀV)c = Vᵀy with Vandermonde V.
-	ata := make([][]float64, n)
-	aty := make([]float64, n)
-	for i := range ata {
-		ata[i] = make([]float64, n)
-	}
-	for k := range x {
-		pow := make([]float64, 2*n-1)
-		pow[0] = 1
-		for j := 1; j < len(pow); j++ {
-			pow[j] = pow[j-1] * x[k]
-		}
-		for i := 0; i < n; i++ {
-			aty[i] += pow[i] * y[k]
-			for j := 0; j < n; j++ {
-				ata[i][j] += pow[i+j]
-			}
-		}
-	}
-	return solve(ata, aty)
-}
 
 // solve performs Gaussian elimination with partial pivoting on a copy of
 // (A, b).
@@ -279,19 +207,4 @@ func RelErr(a, b float64) float64 {
 		return 0
 	}
 	return math.Abs(a-b) / den
-}
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

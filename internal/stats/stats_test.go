@@ -9,65 +9,6 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestLinearFitExact(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := make([]float64, len(x))
-	for i, v := range x {
-		y[i] = 3.5 + 2.25*v
-	}
-	a, b, err := LinearFit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(a, 3.5, 1e-9) || !almost(b, 2.25, 1e-9) {
-		t.Fatalf("fit = (%g, %g), want (3.5, 2.25)", a, b)
-	}
-}
-
-func TestLinearFitErrors(t *testing.T) {
-	if _, _, err := LinearFit([]float64{1}, []float64{2}); err == nil {
-		t.Error("single sample should fail")
-	}
-	if _, _, err := LinearFit([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("constant x should fail")
-	}
-}
-
-func TestPolyFitRecoversQuadratic(t *testing.T) {
-	coef := []float64{1.5, -0.8, 0.35}
-	var x, y []float64
-	for v := 1.0; v <= 20; v++ {
-		x = append(x, v)
-		y = append(y, coef[0]+coef[1]*v+coef[2]*v*v)
-	}
-	got, err := PolyFit(x, y, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range coef {
-		if !almost(got[i], coef[i], 1e-6) {
-			t.Fatalf("coef[%d] = %g, want %g", i, got[i], coef[i])
-		}
-	}
-}
-
-func TestPolyFitNoisy(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	coef := []float64{2, 1.6, 0.1}
-	var x, y []float64
-	for v := 2.0; v <= 64; v += 2 {
-		x = append(x, v)
-		y = append(y, coef[0]+coef[1]*v+coef[2]*v*v+rng.NormFloat64()*0.5)
-	}
-	got, err := PolyFit(x, y, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(got[2], 0.1, 0.02) {
-		t.Fatalf("quadratic term %g too far from 0.1", got[2])
-	}
-}
-
 func TestLMRecoversExponential(t *testing.T) {
 	// y = a·(1 − e^{−b·x}) — genuinely nonlinear in parameters.
 	f := func(p []float64, x float64) float64 { return p[0] * (1 - math.Exp(-p[1]*x)) }
@@ -131,37 +72,22 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{2, 8}); !almost(g, 4, 1e-12) {
-		t.Fatalf("GeoMean(2,8) = %g", g)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Fatal("negative input should NaN")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty input should be 0")
-	}
-}
-
 func TestSolveSingular(t *testing.T) {
 	if _, err := solve([][]float64{{1, 2}, {2, 4}}, []float64{1, 2}); err == nil {
 		t.Fatal("singular matrix should fail")
 	}
 }
 
-func TestMeanAndSSR(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("mean")
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("empty mean")
 	}
-	if s := SumSquaredResiduals([]float64{1, 2}, []float64{1, 4}); s != 4 {
-		t.Fatalf("ssr = %g", s)
-	}
 }
 
-// Non-finite samples must be rejected up front by every fitter: a
+// Non-finite samples must be rejected up front by the fitter: a
 // single NaN would otherwise flow through the normal equations and
 // come back as NaN coefficients with a nil error.
 func TestFittersRejectNonFinite(t *testing.T) {
@@ -173,18 +99,6 @@ func TestFittersRejectNonFinite(t *testing.T) {
 	good := []float64{1, 2, 3}
 	lin := func(p []float64, x float64) float64 { return p[0] + p[1]*x }
 	for _, b := range bad {
-		if _, _, err := LinearFit(b, good); err == nil {
-			t.Errorf("LinearFit(x=%v) accepted non-finite x", b)
-		}
-		if _, _, err := LinearFit(good, b); err == nil {
-			t.Errorf("LinearFit(y=%v) accepted non-finite y", b)
-		}
-		if _, err := PolyFit(b, good, 1); err == nil {
-			t.Errorf("PolyFit(x=%v) accepted non-finite x", b)
-		}
-		if _, err := PolyFit(good, b, 1); err == nil {
-			t.Errorf("PolyFit(y=%v) accepted non-finite y", b)
-		}
 		if _, _, err := LevenbergMarquardt(lin, b, good, []float64{0, 1}, LMOptions{}); err == nil {
 			t.Errorf("LM(x=%v) accepted non-finite x", b)
 		}

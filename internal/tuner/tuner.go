@@ -305,18 +305,13 @@ func ProbeWinners(a *arch.Profile, kind core.Kind, cfg Config) []ProbeCell {
 // measureKind returns latencies[candidate][probeSize], probing the
 // (candidate, size) grid on a worker pool.
 func measureKind(a *arch.Profile, kind core.Kind, cands []core.Algorithm, cfg Config) [][]float64 {
-	mKind := kind
-	if kind == core.KindReduce {
-		// Reduce shares the gather buffer shape in the harness.
-		mKind = core.KindGather
-	}
 	out := make([][]float64, len(cands))
 	for ci := range cands {
 		out[ci] = make([]float64, len(cfg.ProbeSizes))
 	}
 	par.Do(par.Workers(cfg.Jobs), len(cands)*len(cfg.ProbeSizes), func(i int) {
 		ci, si := i/len(cfg.ProbeSizes), i%len(cfg.ProbeSizes)
-		out[ci][si] = measure.Collective(a, mKind, cands[ci].Run, cfg.ProbeSizes[si], measure.Options{Procs: cfg.Procs, Ambient: cfg.Ambient})
+		out[ci][si] = measure.Collective(a, kind, cands[ci].Run, cfg.ProbeSizes[si], measure.Options{Procs: cfg.Procs, Ambient: cfg.Ambient})
 	})
 	return out
 }
