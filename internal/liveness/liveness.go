@@ -112,9 +112,9 @@ type roundState struct {
 // Board is the shared liveness state of one communicator: heartbeats,
 // death flags, and agreement slots, modelled as residing in the shm
 // segment (every rank reads and writes it directly, like the PiP-style
-// shared tables in the reproduced design). All access happens under the
-// simulator's single scheduling token, so no host-level locking is
-// needed and behaviour is deterministic.
+// shared tables in the reproduced design). All access happens from the
+// simulator's processes, which run one at a time, so no host-level
+// locking is needed and behaviour is deterministic.
 type Board struct {
 	sim *sim.Simulation
 	cfg Config

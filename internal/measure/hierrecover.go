@@ -125,8 +125,8 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	agreedErr := make([]error, world)
 	survived := make([]bool, world)
 
-	// Survivor state published by the rank goroutines (single scheduling
-	// token; plain writes are safe). recv2/sends2 are indexed by NEW id.
+	// Survivor state published by the rank processes (they run one at a
+	// time; plain writes are safe). recv2/sends2 are indexed by NEW id.
 	recv2 := make([]kernel.Addr, world)
 	sends2 := make([][]byte, world)
 	var sh *cluster.Shrunk

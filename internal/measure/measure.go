@@ -79,7 +79,7 @@ func CollectiveTraced(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core
 // simPool recycles simulations (event-heap backing, Proc and timer free
 // lists) across sweep cells: a successful run leaves every process
 // finished, so the sim Resets cleanly and the next cell's Spawn loop
-// stops re-allocating resume channels.
+// reuses its Proc shells.
 var simPool = sync.Pool{New: func() any { return sim.New() }}
 
 // bufs and window are the per-cell working sets the sweep loop reuses

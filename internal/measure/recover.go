@@ -104,7 +104,7 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 	agreedErr := make([]error, procs)
 	survived := make([]bool, procs)
 
-	// Survivor-communicator state, published by the rank goroutines (the
+	// Survivor-communicator state, published by the rank processes (the
 	// simulator runs one at a time, so plain writes are safe). recv2 and
 	// sends2 are indexed by post-shrink rank ID; only the first
 	// Survivors entries are used.

@@ -9,8 +9,8 @@ import (
 // through container/heap (~2 allocs per dispatch); the typed heap, the
 // Sleep fast path, and the Proc/timer free lists bring the steady state
 // to zero. These tests pin exact bounds: the dispatch loop allocates
-// nothing at all, and a full Reset+Spawn+Run cycle pays only the
-// goroutine-start closure per spawn.
+// nothing at all, and neither does a full Reset+Spawn+Run cycle once the
+// worker pool holds a coroutine per process.
 
 func TestScheduleZeroAllocSteadyState(t *testing.T) {
 	s := New()
@@ -34,10 +34,9 @@ func TestScheduleZeroAllocSteadyState(t *testing.T) {
 
 func TestSleepSelfWakeAllocs(t *testing.T) {
 	// One process running 1024 self-wake sleeps, re-run on a warmed
-	// simulation via Reset: the Proc shell and resume channel come off
-	// the free list, so the only allocation left in the whole cycle is
-	// the goroutine-start closure — the dispatch loop itself is
-	// allocation-free.
+	// simulation via Reset: the Proc shell comes off the free list and
+	// its coroutine off the worker pool, so the whole cycle allocates
+	// nothing.
 	const sleeps = 1024
 	s := New()
 	body := func(sp *Proc) {
@@ -52,17 +51,18 @@ func TestSleepSelfWakeAllocs(t *testing.T) {
 			panic(err)
 		}
 	}
-	cycle() // warm: first goroutine stack, heap backing, free lists
+	cycle() // warm: first worker, heap backing, free lists
 	allocs := testing.AllocsPerRun(10, cycle)
-	if allocs > 4 {
-		t.Errorf("self-wake cycle of %d sleeps allocates %v, want <= 4 (spawn closure plus constant goroutine bookkeeping)", sleeps, allocs)
+	if allocs != 0 {
+		t.Errorf("self-wake cycle of %d sleeps allocates %v, want 0", sleeps, allocs)
 	}
 }
 
 func TestContendedDispatchAllocBound(t *testing.T) {
 	// 16 processes ping-ponging sleeps: >3000 dispatches through the
-	// heap per cycle. With pooled Procs the cycle's allocations are the
-	// 16 goroutine-start closures — nothing scales with the event count.
+	// heap per cycle. With pooled Procs and workers nothing in the cycle
+	// allocates; the bound leaves room for constant runtime bookkeeping
+	// only — nothing may scale with the process or event count.
 	const procs, sleeps = 16, 64
 	s := New()
 	names := make([]string, procs)
@@ -89,8 +89,8 @@ func TestContendedDispatchAllocBound(t *testing.T) {
 	}
 	cycle()
 	allocs := testing.AllocsPerRun(10, cycle)
-	if allocs > procs+4 {
-		t.Errorf("contended cycle allocates %v, want <= %d (one spawn closure per proc)", allocs, procs+4)
+	if allocs > 4 {
+		t.Errorf("contended cycle of %d procs allocates %v, want <= 4", procs, allocs)
 	}
 	if perEvent := allocs / float64(events); perEvent > 0.025 {
 		t.Errorf("contended cycle: %v allocs over %d events = %.4f/event, want <= 0.025", allocs, events, perEvent)
@@ -117,5 +117,55 @@ func TestTimedWaitTimerReuse(t *testing.T) {
 	}
 	if len(s.timerFree) > 1 {
 		t.Errorf("timer free list grew to %d after %d timed waits, want at most 1 recycled timer", len(s.timerFree), waits)
+	}
+}
+
+func TestChanQueueSteadyStateAllocs(t *testing.T) {
+	// A buffered channel holding a standing backlog: every Send appends
+	// behind the head and every Recv pops it. Once warm, the queue reuses
+	// its backing array, so the loop allocates nothing, and the array
+	// stays bounded by the backlog rather than by the message count.
+	s := New()
+	p := &Proc{sim: s, name: "x"}
+	c := NewChan[int](s, 8)
+	for i := 0; i < 3; i++ {
+		c.Send(p, i)
+	}
+	next, want := 3, 0
+	step := func() {
+		c.Send(p, next)
+		next++
+		if got := c.Recv(p); got != want {
+			t.Fatalf("recv %d, want %d", got, want)
+		}
+		want++
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("steady buffered send/recv allocates %v per cycle, want 0", allocs)
+	}
+	if c.Len() != 3 || cap(c.buf.items) > 8 {
+		t.Errorf("backlog %d in a backing array of %d, want 3 in at most 8", c.Len(), cap(c.buf.items))
+	}
+}
+
+func TestChanQueueDropsDelivered(t *testing.T) {
+	// Popped slots are zeroed: a delivered message's slice is not kept
+	// reachable from the channel's backing array.
+	s := New()
+	p := &Proc{sim: s, name: "x"}
+	c := NewChan[[]byte](s, 4)
+	for i := 0; i < 4; i++ {
+		c.Send(p, make([]byte, 8))
+	}
+	c.Recv(p)
+	c.Recv(p) // two live messages left, behind a two-slot dead prefix
+	q := &c.buf
+	for i, b := range q.items[:cap(q.items)] {
+		if live := i >= q.head && i < len(q.items); b != nil && !live {
+			t.Errorf("slot %d still references a delivered message (live window [%d,%d))", i, q.head, len(q.items))
+		}
 	}
 }

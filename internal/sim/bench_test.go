@@ -7,7 +7,7 @@ import (
 
 // BenchmarkDispatch measures the scheduler's per-event cost in the
 // contended regime: 16 processes ping-ponging short sleeps so nearly
-// every dispatch hands the token to a different process. The bodies
+// every dispatch switches to a different process's coroutine. The bodies
 // loop b.N rounds inside one simulation, so the reported allocs/op are
 // the steady-state dispatch loop alone — pinned at 0 by
 // internal/sim/alloc_test.go.
@@ -67,8 +67,8 @@ func BenchmarkSchedule(b *testing.B) {
 
 // BenchmarkRespawn measures a full Reset+Spawn+Run cycle on a warmed
 // simulation — the measure.Collective sweep pattern the Proc and timer
-// free lists exist for. The only steady-state allocation left is the
-// one bound-method closure per goroutine start.
+// free lists and the worker pool exist for. It allocates nothing in
+// steady state.
 func BenchmarkRespawn(b *testing.B) {
 	const procs, sleeps = 16, 64
 	names := make([]string, procs)

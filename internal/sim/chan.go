@@ -11,7 +11,7 @@ package sim
 type Chan[T any] struct {
 	sim *Simulation
 	cap int
-	buf []T
+	buf queue[T]
 
 	sendq []*sendWaiter[T]
 	recvq []*recvWaiter[T]
@@ -33,7 +33,7 @@ type recvWaiter[T any] struct {
 
 // disarm cancels a timed waiter's deadline. Every wake path must call it
 // before wake: a timed waiter has two possible resume sources (its timer
-// and its peer), and the simulator's token protocol permits exactly one.
+// and its peer), and a suspended process may be resumed exactly once.
 func (w *sendWaiter[T]) disarm() {
 	if w.tm != nil {
 		w.tm.cancel()
@@ -48,6 +48,37 @@ func (w *recvWaiter[T]) disarm() {
 	}
 }
 
+// queue is a FIFO over one reused backing array. pop advances a head
+// index and zeroes the slot it leaves, so a delivered message is not
+// pinned; a drained queue restarts at the front of its array, and once
+// the dead prefix passes half the length the live tail slides down, so
+// push's append refills the same array instead of reallocating as the
+// live window drifts along it, and a queue that never drains stays
+// bounded by twice its peak occupancy.
+type queue[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *queue[T]) len() int { return len(q.items) - q.head }
+
+func (q *queue[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *queue[T]) pop() T {
+	var zero T
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	q.head++
+	if n := len(q.items); q.head == n {
+		q.items, q.head = q.items[:0], 0
+	} else if 2*q.head > n {
+		live := copy(q.items, q.items[q.head:])
+		clear(q.items[live:])
+		q.items, q.head = q.items[:live], 0
+	}
+	return v
+}
+
 // NewChan creates a channel with the given buffer capacity (0 for
 // rendezvous semantics).
 func NewChan[T any](s *Simulation, capacity int) *Chan[T] {
@@ -58,14 +89,14 @@ func NewChan[T any](s *Simulation, capacity int) *Chan[T] {
 }
 
 // Len returns the number of buffered messages.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.len() }
 
 // Send delivers v, blocking in virtual time until the channel can accept
 // it.
 func (c *Chan[T]) Send(p *Proc, v T) {
 	// Direct hand-off to a waiting receiver preserves FIFO order only
 	// when no messages are buffered ahead of v.
-	if len(c.recvq) > 0 && len(c.buf) == 0 {
+	if len(c.recvq) > 0 && c.buf.len() == 0 {
 		w := c.recvq[0]
 		c.recvq = c.recvq[1:]
 		w.val, w.ok = v, true
@@ -73,8 +104,8 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 		w.p.wake(c.sim.now)
 		return
 	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.buf.len() < c.cap {
+		c.buf.push(v)
 		return
 	}
 	sw := &sendWaiter[T]{p: p, val: v}
@@ -85,7 +116,7 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 // TrySend delivers v without blocking; it reports whether the value was
 // accepted.
 func (c *Chan[T]) TrySend(v T) bool {
-	if len(c.recvq) > 0 && len(c.buf) == 0 {
+	if len(c.recvq) > 0 && c.buf.len() == 0 {
 		w := c.recvq[0]
 		c.recvq = c.recvq[1:]
 		w.val, w.ok = v, true
@@ -93,8 +124,8 @@ func (c *Chan[T]) TrySend(v T) bool {
 		w.p.wake(c.sim.now)
 		return true
 	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.buf.len() < c.cap {
+		c.buf.push(v)
 		return true
 	}
 	return false
@@ -102,14 +133,13 @@ func (c *Chan[T]) TrySend(v T) bool {
 
 // Recv blocks in virtual time until a message is available and returns it.
 func (c *Chan[T]) Recv(p *Proc) T {
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[1:]
+	if c.buf.len() > 0 {
+		v := c.buf.pop()
 		// A parked sender can now occupy the freed slot.
 		if len(c.sendq) > 0 {
 			sw := c.sendq[0]
 			c.sendq = c.sendq[1:]
-			c.buf = append(c.buf, sw.val)
+			c.buf.push(sw.val)
 			sw.ok = true
 			sw.disarm()
 			sw.p.wake(c.sim.now)
@@ -136,13 +166,12 @@ func (c *Chan[T]) Recv(p *Proc) T {
 // TryRecv returns a message if one is immediately available.
 func (c *Chan[T]) TryRecv() (T, bool) {
 	var zero T
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[1:]
+	if c.buf.len() > 0 {
+		v := c.buf.pop()
 		if len(c.sendq) > 0 {
 			sw := c.sendq[0]
 			c.sendq = c.sendq[1:]
-			c.buf = append(c.buf, sw.val)
+			c.buf.push(sw.val)
 			sw.ok = true
 			sw.disarm()
 			sw.p.wake(c.sim.now)

@@ -1,5 +1,5 @@
 // Dispatcher regression goldens: the optimised scheduler (typed event
-// heap, direct token hand-off, self-wake Sleep fast path) must be
+// heap, coroutine hand-off, self-wake Sleep fast path) must be
 // behaviourally indistinguishable from the original
 // central-scheduler implementation. The constants below were captured
 // by running these exact workloads on the pre-optimisation dispatcher;
@@ -99,7 +99,7 @@ func TestDispatcherRegressionEventCounts(t *testing.T) {
 		}
 	}
 
-	// Rendezvous-channel ping-pong: exercises block/wake token hand-off.
+	// Rendezvous-channel ping-pong: exercises the block/wake hand-off.
 	s := sim.New()
 	ch := sim.NewChan[int](s, 0)
 	s.Spawn("ping", func(p *sim.Proc) {

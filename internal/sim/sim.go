@@ -2,20 +2,23 @@
 // simulator used as the execution substrate for the simulated multi-core
 // node, kernel, and MPI runtime.
 //
-// Simulated processes are goroutines, but exactly one of them runs at any
-// instant: a single scheduling token circulates between the processes and
-// the scheduler. The synchronization primitives (Chan, Mutex) operate in
-// virtual time with FIFO waiter queues and a (time, sequence) ordered
-// event heap, so a simulation run is bit-for-bit reproducible.
+// Each simulated process runs as a coroutine (iter.Pull) driven by
+// Simulation.Run, and exactly one of them runs at any instant: a process
+// that blocks yields back to Run, which resumes whichever process the
+// event heap pops next. The synchronization primitives (Chan, Mutex)
+// operate in virtual time with FIFO waiter queues and a (time, sequence)
+// ordered event heap, so a simulation run is bit-for-bit reproducible.
 //
 // The dispatcher is built for throughput: the event heap is a concrete
-// typed heap (no interface boxing per event), a process that yields hands
-// the token directly to the next runnable process (one channel hand-off
-// per dispatch instead of a round-trip through a scheduler goroutine),
-// and the dominant self-wake Sleep pattern — no pending event before the
-// sleeper's own wake-up — advances the clock in place with no heap or
-// channel traffic at all. None of this changes virtual-time results or
-// dispatch counts; TestDispatcherRegression pins that equivalence.
+// typed heap (no interface boxing per event), a hand-off between
+// processes is a runtime coroutine switch rather than a channel send and
+// a goroutine park, coroutines come from a process-wide pool of idle
+// workers so a spawn starts no goroutine and regrows no stack in steady
+// state, and the dominant self-wake Sleep pattern — no pending event
+// before the sleeper's own wake-up — advances the clock in place with no
+// heap or coroutine traffic at all. None of this changes virtual-time
+// results or dispatch counts; TestDispatcherRegression pins that
+// equivalence.
 //
 // Virtual time is a float64 measured in microseconds, matching the unit
 // the reproduced paper reports.
@@ -35,17 +38,21 @@ type Simulation struct {
 	now       Time
 	seq       uint64
 	events    eventHeap
-	sched     chan schedMsg
+	next      *Proc // process the last dispatch picked; Run resumes it
 	procs     []*Proc
 	live      int // procs spawned and not yet finished
 	running   bool
 	processed uint64 // events dispatched, for stats/tests
 
-	// Free lists: finished Proc shells (resume channel included) and
-	// consumed timer objects are recycled instead of re-allocated, so a
-	// harness that runs many simulations back to back (Reset between
-	// runs) and the timed-wait hot path stay allocation-free in steady
-	// state.
+	// panicked is the process whose body panicked, with the value in
+	// panicVal; Run re-raises it.
+	panicked *Proc
+	panicVal any
+
+	// Free lists: finished Proc shells and consumed timer objects are
+	// recycled instead of re-allocated, so a harness that runs many
+	// simulations back to back (Reset between runs) and the timed-wait
+	// hot path stay allocation-free in steady state.
 	procFree  []*Proc
 	timerFree []*timer
 }
@@ -62,17 +69,8 @@ const (
 	blockedMutex         = "mutex lock"
 )
 
-// schedMsg returns the scheduling token to Run: either the heap drained
-// with the sender holding the token, or the sender's body panicked.
-type schedMsg struct {
-	proc     *Proc
-	panicVal any
-}
-
 // New returns an empty simulation at time zero.
-func New() *Simulation {
-	return &Simulation{sched: make(chan schedMsg)}
-}
+func New() *Simulation { return &Simulation{} }
 
 // Now returns the current virtual time in microseconds.
 func (s *Simulation) Now() Time { return s.now }
@@ -81,13 +79,13 @@ func (s *Simulation) Now() Time { return s.now }
 func (s *Simulation) EventsProcessed() uint64 { return s.processed }
 
 // Proc is a simulated process. All methods must be called from the
-// goroutine running the process body.
+// coroutine running the process body.
 type Proc struct {
 	sim       *Simulation
 	id        int
 	name      string
-	resume    chan struct{}
-	fn        func(p *Proc) // body, handed to the goroutine via the struct
+	w         *worker       // coroutine running the body, from the first dispatch until the body ends
+	fn        func(p *Proc) // body, handed to the worker via the struct
 	blockedOn string        // diagnostic: what primitive the proc is blocked on
 	started   bool
 	finished  bool
@@ -229,24 +227,17 @@ func (s *Simulation) schedule(p *Proc, at Time) {
 
 func (s *Simulation) popEvent() event { return s.events.pop() }
 
-// dispatch outcomes for dispatchNext.
-const (
-	dispatchedNone  = iota // heap drained; caller still holds the token
-	dispatchedOther        // token handed to another process
-	dispatchedSelf         // earliest event was the caller's own: clock
-	// advanced in place, token kept (timed waits whose own deadline is
-	// the only pending event — handing the token through the resume
-	// channel to oneself would deadlock the goroutine)
-)
-
-// dispatchNext pops the earliest event and hands the scheduling token to
-// its process. self is the current token holder (nil when called from
-// Run or a finishing process). Only the current token holder may call
-// it.
-func (s *Simulation) dispatchNext(self *Proc) int {
+// dispatchNext pops the earliest event, advances the clock to it and
+// records its process in s.next for Run to resume; s.next stays nil when
+// the heap is empty. self is the running process (nil when called from
+// Run or a finishing process). When the event is self's own wake-up
+// (a timed wait whose deadline is the only pending event) dispatchNext
+// reports true instead and self simply keeps running. Only Run or the
+// running process may call it.
+func (s *Simulation) dispatchNext(self *Proc) (own bool) {
 	for {
 		if len(s.events) == 0 {
-			return dispatchedNone
+			return false
 		}
 		e := s.events.pop()
 		if e.tm != nil {
@@ -269,36 +260,31 @@ func (s *Simulation) dispatchNext(self *Proc) int {
 		s.processed++
 		e.p.blockedOn = ""
 		if e.p == self {
-			return dispatchedSelf
+			return true
 		}
-		e.p.resume <- struct{}{}
-		return dispatchedOther
+		s.next = e.p
+		return false
 	}
 }
 
-// yieldToken hands the token to the next runnable process (or back to
-// the scheduler when the heap is empty) and parks until resumed. When
-// the next event is the caller's own wake-up it returns immediately
-// without parking.
+// yieldToken dispatches the next event and, unless it is the caller's
+// own wake-up, suspends the caller's coroutine back to Run, which
+// resumes whichever process the dispatch picked.
 func (p *Proc) yieldToken() {
-	s := p.sim
-	switch s.dispatchNext(p) {
-	case dispatchedSelf:
-		return
-	case dispatchedNone:
-		s.sched <- schedMsg{proc: p}
+	if !p.sim.dispatchNext(p) {
+		p.w.suspend()
 	}
-	<-p.resume
 }
 
 // Spawn registers a new process whose body is fn. If called before Run,
 // the process starts at time zero; if called from a running process, it
 // starts at the current virtual time. Spawn order breaks scheduling ties.
 //
-// Proc shells (struct plus resume channel) come off the free list that
-// Reset fills, so a harness running many simulations back to back only
-// pays one goroutine start per spawn; the body travels through the Proc
-// struct rather than a captured closure.
+// Proc shells come off the free list that Reset fills, and the
+// coroutine that runs the body comes off the process-wide worker pool at
+// the process's first dispatch, so a harness running many simulations
+// back to back allocates nothing per spawn; the body travels through the
+// Proc struct rather than a captured closure.
 func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
 	var p *Proc
 	if n := len(s.procFree); n > 0 {
@@ -310,34 +296,52 @@ func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.blockedOn = ""
 		p.started, p.finished = false, false
 	} else {
-		p = &Proc{sim: s, id: len(s.procs), name: name, resume: make(chan struct{})}
+		p = &Proc{sim: s, id: len(s.procs), name: name}
 	}
 	p.fn = fn
 	s.procs = append(s.procs, p)
 	s.live++
-	go p.main()
 	s.schedule(p, s.now)
 	return p
 }
 
-// main is the goroutine body of a spawned process: wait for the first
-// token delivery, run fn, then pass the token on and exit.
-func (p *Proc) main() {
-	<-p.resume
-	p.started = true
+// resume runs p until it next suspends or its body ends. The first
+// resume binds p to a pooled worker; a finished process hands its worker
+// back to the pool.
+func (p *Proc) resume() {
+	w := p.w
+	if w == nil {
+		w = getWorker()
+		w.p = p
+		p.w = w
+		p.started = true
+	}
+	w.next()
+	if p.finished {
+		p.w = nil
+		putWorker(w)
+	}
+}
+
+// run is the worker-side life of a process: run the body, then account
+// for its end and dispatch the next event for Run to resume. A panicking
+// body is recorded for Run to re-raise instead. A body unwound by Run's
+// teardown (worker stopped) leaves the simulation untouched.
+func (p *Proc) run() {
 	fn := p.fn
 	p.fn = nil
 	panicked := p.runBody(fn)
+	if p.w.stopped {
+		return
+	}
 	p.finished = true
 	s := p.sim
 	s.live--
 	if panicked != nil {
-		s.sched <- schedMsg{proc: p, panicVal: panicked}
+		s.panicked, s.panicVal = p, panicked
 		return
 	}
-	if s.dispatchNext(nil) == dispatchedNone {
-		s.sched <- schedMsg{proc: p}
-	}
+	s.dispatchNext(nil)
 }
 
 // runBody runs fn, converting a body panic into a value for Run to
@@ -354,11 +358,10 @@ func (p *Proc) runBody(fn func(*Proc)) (panicked any) {
 
 // Reset returns the simulation to an empty time-zero state while
 // keeping allocated capacity: the event-heap backing array stays, and
-// finished Proc shells (resume channels included) plus any timers still
-// parked in dropped events go to the free lists for the next run.
-// Reset panics if any spawned process has not finished — a live
-// process's goroutine still references the state being recycled, so
-// only a cleanly drained simulation (Run returned nil) may be reused.
+// finished Proc shells plus any timers still parked in dropped events go
+// to the free lists for the next run. Reset panics if any spawned
+// process has not finished, so only a cleanly drained simulation (Run
+// returned nil) may be reused.
 func (s *Simulation) Reset() {
 	if s.running {
 		panic("sim: Reset during Run")
@@ -396,19 +399,25 @@ func (e *DeadlockError) Error() string {
 // *DeadlockError if processes remain blocked with no pending events, and
 // re-panics any panic raised inside a process body.
 //
-// Run seeds the token by dispatching the first event; after that the
-// token passes directly from process to process and only returns here
-// when the heap drains or a process panics.
+// Run is the driver loop: it resumes the process each dispatch picks,
+// and that process runs until it blocks or ends, dispatching the next
+// event before it suspends. When Run fails it stops the coroutine of
+// every unfinished process, so a failed simulation strands no goroutine.
 func (s *Simulation) Run() error {
 	if s.running {
 		panic("sim: Run called reentrantly")
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	for s.dispatchNext(nil) != dispatchedNone {
-		msg := <-s.sched
-		if msg.panicVal != nil {
-			panic(fmt.Sprintf("sim: process %q panicked: %v", msg.proc.name, msg.panicVal))
+	s.dispatchNext(nil)
+	for p := s.next; p != nil; p = s.next {
+		s.next = nil
+		p.resume()
+		if q := s.panicked; q != nil {
+			v := s.panicVal
+			s.panicked, s.panicVal = nil, nil
+			s.halt()
+			panic(fmt.Sprintf("sim: process %q panicked: %v", q.name, v))
 		}
 	}
 	if s.live > 0 {
@@ -419,9 +428,24 @@ func (s *Simulation) Run() error {
 			}
 		}
 		sort.Strings(stuck)
-		return &DeadlockError{Time: s.now, Blocked: stuck}
+		err := &DeadlockError{Time: s.now, Blocked: stuck}
+		s.halt()
+		return err
 	}
 	return nil
+}
+
+// halt stops the worker of every started, unfinished process. Each
+// stopped body unwinds (its deferred calls run) and its worker is
+// discarded rather than pooled.
+func (s *Simulation) halt() {
+	for _, p := range s.procs {
+		if w := p.w; w != nil {
+			w.halt()
+			p.w = nil
+		}
+	}
+	s.next = nil
 }
 
 // block parks the calling process with no scheduled wake-up. Some other
@@ -444,9 +468,10 @@ func (p *Proc) Sleep(d Time) {
 	s := p.sim
 	t := s.now + d
 	// Fast path: no pending event precedes our wake-up (ties go to the
-	// earlier-scheduled event, which any pending event is), so the token
-	// would come straight back — advance the clock in place. This is the
-	// dominant dispatch pattern in the kernel's chunked copy loops.
+	// earlier-scheduled event, which any pending event is), so the
+	// dispatch would pick this process again — advance the clock in
+	// place. This is the dominant dispatch pattern in the kernel's
+	// chunked copy loops.
 	if len(s.events) == 0 || t < s.events[0].t {
 		s.now = t
 		s.processed++

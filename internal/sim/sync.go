@@ -4,7 +4,7 @@ package sim
 type Mutex struct {
 	sim     *Simulation
 	held    bool
-	waiters []*Proc
+	waiters queue[*Proc]
 }
 
 // NewMutex returns an unlocked mutex.
@@ -16,7 +16,7 @@ func (m *Mutex) Lock(p *Proc) {
 		m.held = true
 		return
 	}
-	m.waiters = append(m.waiters, p)
+	m.waiters.push(p)
 	p.block(blockedMutex)
 	// Ownership was transferred to us by Unlock; m.held stays true.
 }
@@ -34,7 +34,7 @@ func (m *Mutex) TryLock() bool {
 func (m *Mutex) Locked() bool { return m.held }
 
 // Waiters returns the number of processes queued on the mutex.
-func (m *Mutex) Waiters() int { return len(m.waiters) }
+func (m *Mutex) Waiters() int { return m.waiters.len() }
 
 // Unlock releases the mutex, handing it to the longest-waiting process if
 // any.
@@ -42,11 +42,10 @@ func (m *Mutex) Unlock() {
 	if !m.held {
 		panic("sim: unlock of unlocked mutex")
 	}
-	if len(m.waiters) == 0 {
+	if m.waiters.len() == 0 {
 		m.held = false
 		return
 	}
-	next := m.waiters[0]
-	m.waiters = m.waiters[1:]
+	next := m.waiters.pop()
 	next.wake(m.sim.now) // ownership transfers; held remains true
 }

@@ -133,10 +133,12 @@ type Lane struct {
 // to). A Recorder must not be shared between simulations.
 //
 // All methods are safe on a nil *Recorder, which is the disabled state.
-// The simulator runs exactly one process goroutine at a time with
-// channel hand-off between them, so the Recorder needs no internal
-// locking: the hand-off establishes happens-before between all
-// recording sites.
+// The simulator runs exactly one process coroutine at a time, so the
+// Recorder needs no internal locking: each coroutine switch between a
+// process and Simulation.Run establishes happens-before between all
+// recording sites, and the worker pool's mutex orders a coroutine's use
+// by one simulation before its reuse by another on a parallel
+// goroutine.
 type Recorder struct {
 	clock  Clock
 	events []Event

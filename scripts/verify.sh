@@ -22,9 +22,11 @@ fi
 echo '== go test ./...'
 go test ./...
 
-# The simulator hands the scheduler token between goroutines and the
-# trace recorder piggybacks on that happens-before edge instead of
-# locking; the sweep engine fans cells out across a worker pool, and the
+# The simulator runs each process as a coroutine that Run resumes one at
+# a time, and the trace recorder piggybacks on the coroutine switch's
+# happens-before edge instead of locking; idle coroutines are pooled
+# process-wide behind a mutex and reused by simulations on parallel
+# goroutines; the sweep engine fans cells out across a worker pool, and the
 # fault-injection plan is consulted from inside parallel experiment
 # cells. The race detector proves those happens-before edges are real —
 # everywhere, not just in the packages that looked concurrency-sensitive
