@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"io"
 	"strings"
 	"testing"
 )
@@ -533,21 +532,6 @@ func TestX7EmergentVsCalibrated(t *testing.T) {
 	}
 	if cal < 3*em {
 		t.Errorf("calibrated gamma %.0f should dwarf emergent %.1f", cal, em)
-	}
-}
-
-func TestEveryExperimentRunsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quick full-registry pass still takes tens of seconds")
-	}
-	for _, e := range Registry() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			skipIfRaceExpensive(t, e.ID)
-			if err := e.Run(io.Discard, quick); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-		})
 	}
 }
 
