@@ -1,13 +1,12 @@
-// Command camc-model exercises the analytical cost model: the Table III
-// step-isolation procedure, the Table IV parameter estimates, the Fig 5
-// contention-factor fit, and the Fig 12 predicted-vs-observed validation.
+// Command camc-model prints the analytical cost model's parameters as
+// estimated on each simulated architecture (Table IV), with the fitted
+// contention-factor curve γ(c) (Fig 5). The model experiments themselves
+// (tab3, tab4, fig5, fig12) run through camc-bench -run.
 //
 // Usage:
 //
-//	camc-model -table3 -table4
-//	camc-model -fig 5 -arch broadwell
-//	camc-model -fig 12
-//	camc-model -params            # just print the estimated parameters
+//	camc-model -params
+//	camc-model -params -arch broadwell
 package main
 
 import (
@@ -16,19 +15,13 @@ import (
 	"os"
 
 	"camc/internal/arch"
-	"camc/internal/bench"
 	"camc/internal/model"
 )
 
 func main() {
 	var (
-		tab3   = flag.Bool("table3", false, "run the Table III step-isolation experiments")
-		tab4   = flag.Bool("table4", false, "estimate the Table IV model parameters")
-		fig    = flag.Int("fig", 0, "figure to reproduce: 5 or 12")
 		params = flag.Bool("params", false, "print estimated parameters with fitted gamma curves")
 		archF  = flag.String("arch", "", "restrict to one architecture")
-		quick  = flag.Bool("quick", false, "reduced sweeps")
-		jobs   = flag.Int("j", 0, "worker goroutines for experiment cells (0 = GOMAXPROCS; output is identical for any value)")
 	)
 	flag.Parse()
 	if *archF != "" {
@@ -37,56 +30,27 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	opts := bench.Options{Arch: *archF, Quick: *quick, Jobs: *jobs}
-	ran := false
-	runExp := func(id string) {
-		ran = true
-		e, _ := bench.ByID(id)
-		if err := e.Run(os.Stdout, opts); err != nil {
+	if !*params {
+		flag.Usage()
+		os.Exit(2)
+	}
+	for _, a := range arch.All() {
+		if *archF != "" && a.Name != *archF {
+			continue
+		}
+		p := model.Estimate(a)
+		samples := model.MeasureGammaCurve(a, []int{50}, []int{2, 4, 8, a.DefaultProcs / 2, a.DefaultProcs - 1})
+		ssr, err := p.FitGamma(samples)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-	if *tab3 {
-		runExp("tab3")
-	}
-	if *tab4 {
-		runExp("tab4")
-	}
-	switch *fig {
-	case 5:
-		runExp("fig5")
-	case 12:
-		runExp("fig12")
-	case 0:
-	default:
-		fmt.Fprintln(os.Stderr, "camc-model reproduces figures 5 and 12")
-		os.Exit(2)
-	}
-	if *params {
-		ran = true
-		for _, a := range arch.All() {
-			if *archF != "" && a.Name != *archF {
-				continue
-			}
-			p := model.Estimate(a)
-			samples := model.MeasureGammaCurve(a, []int{50}, []int{2, 4, 8, a.DefaultProcs / 2, a.DefaultProcs - 1})
-			ssr, err := p.FitGamma(samples)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("%-10s alpha=%.3fus  beta=%.3f GB/s  l=%.3fus/page  s=%d B\n",
-				a.Name, p.Alpha, 1e-3/p.Beta, p.L, p.PageSize)
-			fmt.Printf("%-10s gamma(c) ~ %.3f + %.3f c + %.4f c^2", "", p.GammaCoef[0], p.GammaCoef[1], p.GammaCoef[2])
-			if p.Boundary > 0 {
-				fmt.Printf(" + %.2f max(0, c-%d)", p.GammaJump, p.Boundary)
-			}
-			fmt.Printf("   (fit SSR %.3g)\n", ssr)
+		fmt.Printf("%-10s alpha=%.3fus  beta=%.3f GB/s  l=%.3fus/page  s=%d B\n",
+			a.Name, p.Alpha, 1e-3/p.Beta, p.L, p.PageSize)
+		fmt.Printf("%-10s gamma(c) ~ %.3f + %.3f c + %.4f c^2", "", p.GammaCoef[0], p.GammaCoef[1], p.GammaCoef[2])
+		if p.Boundary > 0 {
+			fmt.Printf(" + %.2f max(0, c-%d)", p.GammaJump, p.Boundary)
 		}
-	}
-	if !ran {
-		flag.Usage()
-		os.Exit(2)
+		fmt.Printf("   (fit SSR %.3g)\n", ssr)
 	}
 }

@@ -17,24 +17,31 @@ func main() {
 	const ppn = 64
 	sizes := []int64{16 << 10, 64 << 10, 256 << 10}
 
-	run := func(nodes int, eta int64, g func(r *cluster.Rank, eta int64)) float64 {
+	// run times one gather of eta bytes per rank to world rank 0 under a
+	// cluster design, with the tuned intra-node algorithm.
+	run := func(nodes int, eta int64, design cluster.Design) float64 {
 		cl := cluster.New(cluster.Config{Arch: a, NumNodes: nodes, PPN: ppn})
-		done, err := cl.Run(func(r *cluster.Rank) { g(r, eta) })
+		gather, err := cluster.Lookup(cl, core.KindGather, design, "")
+		if err != nil {
+			panic(err)
+		}
+		done, err := cl.Run(func(r *cluster.Rank) {
+			send := r.Alloc(eta)
+			recv := r.Alloc(int64(cl.WorldSize()) * eta)
+			gather.Run(r, cluster.Args{Send: send, Recv: recv, Count: eta})
+		})
 		if err != nil {
 			panic(err)
 		}
 		return done
 	}
 
-	twoLevel := cluster.GatherTwoLevel(core.TunedGather)
-	flat := cluster.GatherFlat(core.TransportPt2pt)
-
 	fmt.Printf("MPI_Gather on simulated KNL nodes (%d ranks/node)\n\n", ppn)
 	fmt.Printf("%-6s %-8s %14s %14s %9s\n", "nodes", "size", "two-level(us)", "flat(us)", "speedup")
 	for _, nodes := range []int{2, 4, 8} {
 		for _, eta := range sizes {
-			tl := run(nodes, eta, twoLevel)
-			fl := run(nodes, eta, flat)
+			tl := run(nodes, eta, cluster.DesignLeader)
+			fl := run(nodes, eta, cluster.DesignFlat)
 			fmt.Printf("%-6d %-8s %14.0f %14.0f %8.2fx\n",
 				nodes, fmt.Sprintf("%dK", eta>>10), tl, fl, fl/tl)
 		}

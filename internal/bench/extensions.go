@@ -191,16 +191,16 @@ func init() {
 				Notes:   []string{"segmentation overlaps inter-node drains with the next segment's intra-node gather"},
 			}
 			designs := []struct {
-				name string
-				run  func(r *cluster.Rank, eta int64)
+				name     string
+				segments int
 			}{
-				{"two-level", cluster.GatherTwoLevel(core.TunedGather)},
-				{"pipelined-2", cluster.GatherTwoLevelPipelined(core.TunedGather, 2)},
-				{"pipelined-4", cluster.GatherTwoLevelPipelined(core.TunedGather, 4)},
-				{"pipelined-8", cluster.GatherTwoLevelPipelined(core.TunedGather, 8)},
+				{"two-level", 0},
+				{"pipelined-2", 2},
+				{"pipelined-4", 4},
+				{"pipelined-8", 8},
 			}
 			vals := parMap(o, len(designs)*len(sizes), func(i int) float64 {
-				return multinodeGather(a, nodes, ppn, sizes[i%len(sizes)], designs[i/len(sizes)].run)
+				return clusterCell(a, core.KindGather, cluster.DesignLeader, "", nodes, ppn, sizes[i%len(sizes)], designs[i/len(sizes)].segments)
 			})
 			for di, d := range designs {
 				t.Series = append(t.Series, Series{

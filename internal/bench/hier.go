@@ -6,6 +6,7 @@ import (
 	"camc/internal/arch"
 	"camc/internal/cluster"
 	"camc/internal/core"
+	"camc/internal/payload"
 )
 
 // x11: the hierarchical-collective node sweep over the contention-aware
@@ -54,37 +55,25 @@ func hierLadders() []hierLadder {
 	}
 }
 
-// hierBufSizes returns per-rank (send, recv) buffer sizes for a cluster
-// collective at world size w.
-func hierBufSizes(kind core.Kind, w int, count int64) (int64, int64) {
-	switch kind {
-	case core.KindScatter:
-		return int64(w) * count, count
-	case core.KindGather:
-		return count, int64(w) * count
-	case core.KindAllgather:
-		return count, int64(w) * count
-	case core.KindAlltoall:
-		return int64(w) * count, int64(w) * count
-	default: // bcast, reduce
-		return count, count
-	}
-}
-
-// hierCell measures one (arch, kind, design, nodes) point: a dataless
-// cluster run with the tuned intra-node algorithm, released back to the
-// fabric pool afterwards.
-func hierCell(a *arch.Profile, kind core.Kind, design cluster.Design, nodes, ppn int, count int64) float64 {
+// clusterCell measures one cluster collective point: a dataless run of
+// kind under design (intra-node spec, "" = tuned) rooted at world rank
+// 0, each rank's buffers laid out by payload.BufSizes, released back to
+// the fabric pool afterwards. segments pipelines the leader gather
+// (x4); 0 is unsegmented.
+func clusterCell(a *arch.Profile, kind core.Kind, design cluster.Design, spec string, nodes, ppn int, count int64, segments int) float64 {
 	cl := cluster.New(cluster.Config{Arch: a, NumNodes: nodes, PPN: ppn})
-	coll, err := cluster.Lookup(cl, kind, design, "")
+	coll, err := cluster.Lookup(cl, kind, design, spec)
 	if err != nil {
 		panic(err)
 	}
-	sendLen, recvLen := hierBufSizes(kind, cl.WorldSize(), count)
+	sendLen, recvLen, err := payload.BufSizes(kind, cl.WorldSize(), count)
+	if err != nil {
+		panic(err)
+	}
 	done, err := cl.Run(func(r *cluster.Rank) {
 		send := r.Alloc(sendLen)
 		recv := r.Alloc(recvLen)
-		coll.Run(r, cluster.Args{Send: send, Recv: recv, Count: count})
+		coll.Run(r, cluster.Args{Send: send, Recv: recv, Count: count, Segments: segments})
 	})
 	if err != nil {
 		panic(err)
@@ -123,7 +112,7 @@ func init() {
 				if o.Quick {
 					nodes = l.quick
 				}
-				return hierCell(a, l.kind, designs[c.di], nodes[c.ni], l.ppn, l.count)
+				return clusterCell(a, l.kind, designs[c.di], "", nodes[c.ni], l.ppn, l.count, 0)
 			})
 			byKey := make(map[cellKey]float64, len(cells))
 			for i, c := range cells {

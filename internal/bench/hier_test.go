@@ -72,8 +72,8 @@ func TestHierQuickShape(t *testing.T) {
 func TestHierLeaderWinsQuick(t *testing.T) {
 	skipIfRaceExpensive(t, "x11")
 	for _, kind := range []core.Kind{core.KindGather, core.KindScatter, core.KindAllgather} {
-		flat := hierCell(arch.KNL(), kind, cluster.DesignFlat, 256, 4, 1024)
-		leader := hierCell(arch.KNL(), kind, cluster.DesignLeader, 256, 4, 1024)
+		flat := clusterCell(arch.KNL(), kind, cluster.DesignFlat, "", 256, 4, 1024, 0)
+		leader := clusterCell(arch.KNL(), kind, cluster.DesignLeader, "", 256, 4, 1024, 0)
 		if leader >= flat {
 			t.Errorf("%s at 256 nodes: leader %.1f us, flat %.1f us; two-level should win", kind, leader, flat)
 		}
@@ -92,7 +92,7 @@ func TestScale4096Nodes(t *testing.T) {
 	}
 	skipIfRaceExpensive(t, "x11")
 	start := time.Now()
-	lat := hierCell(arch.KNL(), core.KindBcast, cluster.DesignLeader, 4096, 8, 16<<10)
+	lat := clusterCell(arch.KNL(), core.KindBcast, cluster.DesignLeader, "", 4096, 8, 16<<10, 0)
 	wall := time.Since(start)
 	if lat <= 0 {
 		t.Fatalf("4096-node bcast latency %v, want > 0", lat)

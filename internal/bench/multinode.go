@@ -14,16 +14,6 @@ import (
 // comparators run the flat single-level gathers large messages get in
 // stock libraries.
 
-// multinodeGather measures one (design, nodes, size) point.
-func multinodeGather(a *arch.Profile, nodes, ppn int, eta int64, run func(r *cluster.Rank, eta int64)) float64 {
-	cl := cluster.New(cluster.Config{Arch: a, NumNodes: nodes, PPN: ppn})
-	done, err := cl.Run(func(r *cluster.Rank) { run(r, eta) })
-	if err != nil {
-		panic(err)
-	}
-	return done
-}
-
 func init() {
 	register(&Experiment{
 		ID:    "fig17",
@@ -36,23 +26,20 @@ func init() {
 			if o.Quick {
 				nodeCounts = []int{2, 4}
 			}
-			designs := []struct {
-				name string
-				run  func(r *cluster.Rank, eta int64)
-			}{
-				{"proposed-two-level", cluster.GatherTwoLevel(core.TunedGather)},
-				{"flat-pt2pt (mvapich2-like)", cluster.GatherFlat(core.TransportPt2pt)},
-				{"flat-shm (intelmpi-like)", cluster.GatherFlat(core.TransportShm)},
-				{"two-level-shm (openmpi-like)", cluster.GatherTwoLevel(core.GatherBinomial(core.TransportShm))},
+			// Each series is one cluster.Lookup design with its intra-node
+			// spec ("" = tuned).
+			type series struct {
+				name   string
+				design cluster.Design
+				spec   string
 			}
-			scatterDesigns := []struct {
-				name string
-				run  func(r *cluster.Rank, eta int64)
-			}{
-				{"proposed-two-level", cluster.ScatterTwoLevel(core.TunedScatter)},
-				{"flat-pt2pt (mvapich2-like)", cluster.ScatterFlat(core.TransportPt2pt)},
-				{"flat-shm (intelmpi-like)", cluster.ScatterFlat(core.TransportShm)},
+			designs := []series{
+				{"proposed-two-level", cluster.DesignLeader, ""},
+				{"flat-pt2pt (mvapich2-like)", cluster.DesignFlat, ""},
+				{"flat-shm (intelmpi-like)", cluster.DesignFlatShm, ""},
+				{"two-level-shm (openmpi-like)", cluster.DesignLeader, "binomial-shm"},
 			}
+			scatterDesigns := designs[:3]
 			// One flat cell grid: the gather panels followed by the
 			// companion scatter panel at the largest node count, so every
 			// cluster simulation of the figure shares the worker pool.
@@ -62,10 +49,11 @@ func init() {
 				if i < gatherN {
 					nodes := nodeCounts[i/(len(designs)*len(sizes))]
 					d := designs[(i/len(sizes))%len(designs)]
-					return multinodeGather(a, nodes, ppn, sizes[i%len(sizes)], d.run)
+					return clusterCell(a, core.KindGather, d.design, d.spec, nodes, ppn, sizes[i%len(sizes)], 0)
 				}
 				j := i - gatherN
-				return multinodeGather(a, last, ppn, sizes[j%len(sizes)], scatterDesigns[j/len(sizes)].run)
+				d := scatterDesigns[j/len(sizes)]
+				return clusterCell(a, core.KindScatter, d.design, d.spec, last, ppn, sizes[j%len(sizes)], 0)
 			})
 			var tables []Table
 			for ni, nodes := range nodeCounts {

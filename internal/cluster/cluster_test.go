@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"camc/internal/arch"
 	"camc/internal/core"
 	"camc/internal/kernel"
+	"camc/internal/payload"
 )
 
 func knlCluster(nodes, ppn int) *Cluster {
@@ -85,14 +89,33 @@ func TestWorldRankMapping(t *testing.T) {
 	}
 }
 
+// runColl times one dataless cluster collective, each rank's buffers
+// laid out by payload.BufSizes; a's Send and Recv are filled in per rank.
+func runColl(t *testing.T, cl *Cluster, kind core.Kind, design Design, spec string, a Args) float64 {
+	t.Helper()
+	coll, err := Lookup(cl, kind, design, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sendLen, recvLen, err := payload.BufSizes(kind, cl.WorldSize(), a.Count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := cl.Run(func(r *Rank) {
+		a := a
+		a.Send = r.Alloc(sendLen)
+		a.Recv = r.Alloc(recvLen)
+		coll.Run(r, a)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
 func TestTwoLevelGatherCompletes(t *testing.T) {
 	for _, nodes := range []int{2, 4} {
-		cl := knlCluster(nodes, 8)
-		gather := GatherTwoLevel(core.TunedGather)
-		done, err := cl.Run(func(r *Rank) { gather(r, 64<<10) })
-		if err != nil {
-			t.Fatalf("nodes=%d: %v", nodes, err)
-		}
+		done := runColl(t, knlCluster(nodes, 8), core.KindGather, DesignLeader, "", Args{Count: 64 << 10})
 		if done <= 0 {
 			t.Fatalf("nodes=%d: no time elapsed", nodes)
 		}
@@ -100,11 +123,9 @@ func TestTwoLevelGatherCompletes(t *testing.T) {
 }
 
 func TestFlatGatherCompletes(t *testing.T) {
-	for _, tr := range []core.Transport{core.TransportPt2pt, core.TransportShm} {
-		cl := knlCluster(2, 8)
-		gather := GatherFlat(tr)
-		if _, err := cl.Run(func(r *Rank) { gather(r, 64<<10) }); err != nil {
-			t.Fatal(err)
+	for _, design := range []Design{DesignFlat, DesignFlatShm} {
+		if done := runColl(t, knlCluster(2, 8), core.KindGather, design, "", Args{Count: 64 << 10}); done <= 0 {
+			t.Fatalf("%s: no time elapsed", design)
 		}
 	}
 }
@@ -115,21 +136,11 @@ func TestTwoLevelBeatsFlatAndGapGrows(t *testing.T) {
 	// with node count.
 	// Medium size: per-message network overheads at the root dominate
 	// the flat design, which is where the paper's multi-node gains live.
-	eta := int64(16 << 10)
+	a := Args{Count: 16 << 10}
 	ppn := 16
 	speedup := func(nodes int) float64 {
-		cl := knlCluster(nodes, ppn)
-		g := GatherTwoLevel(core.TunedGather)
-		two, err := cl.Run(func(r *Rank) { g(r, eta) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl2 := knlCluster(nodes, ppn)
-		f := GatherFlat(core.TransportPt2pt)
-		flat, err := cl2.Run(func(r *Rank) { f(r, eta) })
-		if err != nil {
-			t.Fatal(err)
-		}
+		two := runColl(t, knlCluster(nodes, ppn), core.KindGather, DesignLeader, "", a)
+		flat := runColl(t, knlCluster(nodes, ppn), core.KindGather, DesignFlat, "", a)
 		return flat / two
 	}
 	s2 := speedup(2)
@@ -144,22 +155,15 @@ func TestTwoLevelBeatsFlatAndGapGrows(t *testing.T) {
 
 func TestPipelinedGatherOverlaps(t *testing.T) {
 	// At large sizes, segmenting lets inter-node drains overlap the next
-	// segment's intra-node gather, beating the unpipelined design; with
-	// one segment the two designs coincide.
-	eta := int64(1 << 20)
-	run := func(g func(r *Rank, eta int64)) float64 {
-		cl := knlCluster(4, 16)
-		done, err := cl.Run(func(r *Rank) { g(r, eta) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return done
+	// segment's intra-node gather, beating the unpipelined design; one
+	// segment is the unpipelined design.
+	run := func(segments int) float64 {
+		return runColl(t, knlCluster(4, 16), core.KindGather, DesignLeader, "throttled:8",
+			Args{Count: 1 << 20, Segments: segments})
 	}
-	plain := run(GatherTwoLevel(core.GatherThrottled(8)))
-	one := run(GatherTwoLevelPipelined(core.GatherThrottled(8), 1))
-	four := run(GatherTwoLevelPipelined(core.GatherThrottled(8), 4))
-	if relClose := one/plain > 1.05 || one/plain < 0.95; relClose {
-		t.Fatalf("1-segment pipeline (%g) should match unpipelined (%g)", one, plain)
+	plain, one, four := run(0), run(1), run(4)
+	if math.Float64bits(one) != math.Float64bits(plain) {
+		t.Fatalf("1-segment pipeline (%g) should equal unpipelined (%g)", one, plain)
 	}
 	if four >= plain {
 		t.Fatalf("4-segment pipeline (%g) not below unpipelined (%g)", four, plain)
@@ -167,31 +171,48 @@ func TestPipelinedGatherOverlaps(t *testing.T) {
 }
 
 func TestPipelinedGatherRejectsBadSegments(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for segments=0")
-		}
-	}()
-	GatherTwoLevelPipelined(core.TunedGather, 0)
+	cases := []struct {
+		name     string
+		kind     core.Kind
+		design   Design
+		copyData bool
+		segments int
+		reject   bool
+	}{
+		{"negative", core.KindGather, DesignLeader, false, -1, true},
+		{"bcast-leader", core.KindBcast, DesignLeader, false, 2, true},
+		{"scatter-leader", core.KindScatter, DesignLeader, false, 2, true},
+		{"gather-flat", core.KindGather, DesignFlat, false, 2, true},
+		{"gather-flat-shm", core.KindGather, DesignFlatShm, false, 2, true},
+		{"gather-shared", core.KindGather, DesignShared, false, 2, true},
+		{"copy-data", core.KindGather, DesignLeader, true, 2, true},
+		{"one-segment-any-kind", core.KindBcast, DesignFlat, true, 1, false},
+		{"leader-gather", core.KindGather, DesignLeader, false, 4, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if (r != nil) != tc.reject || (r != nil && !strings.Contains(fmt.Sprint(r), "segment")) {
+					t.Fatalf("segments=%d on %s/%s (copyData %v): panic %v, want rejection %v",
+						tc.segments, tc.kind, tc.design, tc.copyData, r, tc.reject)
+				}
+			}()
+			cl := New(Config{Arch: arch.KNL(), NumNodes: 2, PPN: 4, CopyData: tc.copyData})
+			runColl(t, cl, tc.kind, tc.design, "", Args{Count: 4 << 10, Segments: tc.segments})
+		})
+	}
 }
 
-func TestScatterTwoLevelCompletes(t *testing.T) {
-	cl := knlCluster(4, 8)
-	scatter := ScatterTwoLevel(core.TunedScatter)
-	if _, err := cl.Run(func(r *Rank) { scatter(r, 32<<10) }); err != nil {
-		t.Fatal(err)
+func TestTwoLevelScatterCompletes(t *testing.T) {
+	if done := runColl(t, knlCluster(4, 8), core.KindScatter, DesignLeader, "", Args{Count: 32 << 10}); done <= 0 {
+		t.Fatal("no time elapsed")
 	}
 }
 
 func TestDeterministicCluster(t *testing.T) {
 	run := func() float64 {
-		cl := knlCluster(3, 6)
-		g := GatherTwoLevel(core.GatherThrottled(4))
-		done, err := cl.Run(func(r *Rank) { g(r, 32<<10) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return done
+		return runColl(t, knlCluster(3, 6), core.KindGather, DesignLeader, "throttled:4", Args{Count: 32 << 10})
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic cluster run: %g vs %g", a, b)

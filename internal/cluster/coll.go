@@ -5,7 +5,6 @@ import (
 
 	"camc/internal/core"
 	"camc/internal/kernel"
-	"camc/internal/mpi"
 	"camc/internal/trace"
 )
 
@@ -27,6 +26,11 @@ const (
 	// into (or CMA-read out of) the leader's buffers, contending on the
 	// leader's mm-lock exactly as the paper's γ(c) model predicts.
 	DesignShared Design = "shared"
+	// DesignFlatShm is DesignFlat with its on-node edges over the two-copy
+	// shared-memory transport instead of kernel-assisted rendezvous: the
+	// single-level comparator of Intel MPI-like libraries in Fig 17. It is
+	// not in Designs(), which lists the designs x11 and the checker compare.
+	DesignFlatShm Design = "flat-shm"
 )
 
 // Designs returns the registered designs in comparison order.
@@ -42,6 +46,12 @@ type Args struct {
 	Recv  kernel.Addr
 	Count int64
 	Root  int
+	// Segments pipelines the leader gather (the paper's §IX design): each
+	// leader ships node segment s over the fabric while its node gathers
+	// segment s+1. 0 or 1 is the unsegmented gather. Run rejects it on
+	// every other kind and design, and on CopyData clusters, because the
+	// staged node block is segment-major rather than rank-major.
+	Segments int
 }
 
 // Coll is a resolved cluster collective: one kind, one design, one
@@ -49,8 +59,8 @@ type Args struct {
 type Coll struct {
 	Kind   core.Kind
 	Design Design
-	// Name labels the resolved variant for tables and traces:
-	// "flat" or "<design>/<intra algorithm>".
+	// Name labels the resolved variant for tables and traces: "flat",
+	// "flat-shm" or "<design>/<intra algorithm>".
 	Name string
 
 	run func(r *Rank, a Args)
@@ -59,7 +69,7 @@ type Coll struct {
 // Lookup resolves a cluster collective. intraSpec is the same-kind
 // intra-node algorithm spec (core spec grammar, "" = tuned), re-planned
 // for the cluster's PPN exactly like post-shrink Replan clamps tuning
-// parameters to the communicator size. The flat design and the kinds
+// parameters to the communicator size. The flat designs and the kinds
 // whose hierarchical decomposition has no same-kind on-node phase
 // (alltoall) validate the spec but do not run it.
 func Lookup(cl *Cluster, kind core.Kind, design Design, intraSpec string) (Coll, error) {
@@ -71,6 +81,11 @@ func Lookup(cl *Cluster, kind core.Kind, design Design, intraSpec string) (Coll,
 		return Coll{}, err
 	}
 	h := &hier{cl: cl, intra: intra}
+	impl := design
+	if design == DesignFlatShm {
+		h.tr = core.TransportShm
+		impl = DesignFlat
+	}
 	type key struct {
 		k core.Kind
 		d Design
@@ -95,12 +110,12 @@ func Lookup(cl *Cluster, kind core.Kind, design Design, intraSpec string) (Coll,
 		{core.KindReduce, DesignLeader}:    h.reduceLeader,
 		{core.KindReduce, DesignShared}:    h.reduceShared,
 	}
-	run, ok := impls[key{kind, design}]
+	run, ok := impls[key{kind, impl}]
 	if !ok {
 		return Coll{}, fmt.Errorf("cluster: no %q implementation of %s (designs: %v)", design, kind, Designs())
 	}
 	name := string(design)
-	if design != DesignFlat {
+	if impl != DesignFlat {
 		name += "/" + intra.Name
 	}
 	return Coll{Kind: kind, Design: design, Name: name, run: run}, nil
@@ -114,6 +129,17 @@ func (c Coll) Run(r *Rank, a Args) {
 	}
 	if a.Root < 0 || a.Root >= r.cluster.WorldSize() {
 		panic(fmt.Sprintf("cluster: root %d out of world range %d", a.Root, r.cluster.WorldSize()))
+	}
+	if a.Segments < 0 {
+		panic(fmt.Sprintf("cluster: negative segment count %d", a.Segments))
+	}
+	if a.Segments > 1 {
+		if c.Kind != core.KindGather || c.Design != DesignLeader {
+			panic(fmt.Sprintf("cluster: %d segments on %s/%s: only the leader gather pipelines", a.Segments, c.Kind, c.Design))
+		}
+		if r.cluster.CopyData {
+			panic(fmt.Sprintf("cluster: %d segments on a CopyData cluster: the staged node block is segment-major", a.Segments))
+		}
 	}
 	rec := r.Tracer()
 	var span trace.SpanID
@@ -131,8 +157,9 @@ func (c Coll) Run(r *Rank, a Args) {
 type hier struct {
 	cl    *Cluster
 	intra core.Algorithm
-	// tr selects the intra-node transport of the flat designs and the
-	// legacy wrappers (pt2pt = kernel-assisted rendezvous, shm = two-copy).
+	// tr selects the intra-node transport of the flat edges: pt2pt
+	// (kernel-assisted rendezvous) for DesignFlat, shm (two-copy) for
+	// DesignFlatShm.
 	tr core.Transport
 }
 
@@ -248,21 +275,22 @@ func (h *hier) netReduce(r *Rank, root int, acc kernel.Addr, size int64) {
 	}
 }
 
-// netGather ships each non-root leader's node block (stage) straight to
-// the root, which lands block n at dst + n*nodeBytes. The root drains
-// O(nodes) flows — the incast the fabric's γ_net makes expensive, but
-// still a factor PPN fewer flows than a flat direct gather.
-func (h *hier) netGather(r *Rank, root int, stage, dst kernel.Addr, nodeBytes int64) {
+// netGather ships each non-root leader's size-byte node block (stage)
+// straight to the root, which lands node n's block at dst + n*stride.
+// The root drains O(nodes) flows — the incast the fabric's γ_net makes
+// expensive, but still a factor PPN fewer flows than a flat direct
+// gather.
+func (h *hier) netGather(r *Rank, root int, stage, dst kernel.Addr, stride, size int64) {
 	rootNode := h.cl.NodeOf(root)
 	if r.Node != rootNode {
-		r.NetSend(root, stage, nodeBytes)
+		r.NetSend(root, stage, size)
 		return
 	}
 	for n := 0; n < h.cl.NumNodes; n++ {
 		if n == rootNode {
 			continue
 		}
-		r.NetRecv(h.leaderWorld(n, root), dst+kernel.Addr(int64(n)*nodeBytes), nodeBytes)
+		r.NetRecv(h.leaderWorld(n, root), dst+kernel.Addr(int64(n)*stride), size)
 	}
 }
 
@@ -425,11 +453,25 @@ func (h *hier) gatherLeader(r *Rank, a Args) {
 			stage = r.Alloc(nodeBytes)
 		}
 	}
-	h.phase(r, "h_intra", func() {
-		h.intra.Run(r.Rank, core.Args{Send: a.Send, Recv: stage, Count: a.Count, Root: lead})
-	})
-	if r.ID == lead {
-		h.phase(r, "h_net", func() { h.netGather(r, a.Root, stage, a.Recv, nodeBytes) })
+	// Segment s of every member's block lands segment-major in the node
+	// block (a real implementation would address rank-major slots with a
+	// strided datatype at identical cost), and the leader ships it while
+	// the node gathers segment s+1.
+	segs := max(a.Segments, 1)
+	segLen := (a.Count + int64(segs) - 1) / int64(segs)
+	for s := 0; s < segs; s++ {
+		off := int64(s) * segLen
+		if s > 0 && off >= a.Count {
+			break
+		}
+		n := min(segLen, a.Count-off)
+		seg := kernel.Addr(int64(cl.PPN) * off)
+		h.phase(r, "h_intra", func() {
+			h.intra.Run(r.Rank, core.Args{Send: a.Send + kernel.Addr(off), Recv: stage + seg, Count: n, Root: lead})
+		})
+		if r.ID == lead {
+			h.phase(r, "h_net", func() { h.netGather(r, a.Root, stage+seg, a.Recv+seg, nodeBytes, int64(cl.PPN)*n) })
+		}
 	}
 }
 
@@ -567,7 +609,7 @@ func (h *hier) gatherShared(r *Rank, a Args) {
 		r.Notify(lead)
 	})
 	if r.ID == lead {
-		h.phase(r, "h_net", func() { h.netGather(r, a.Root, stage, a.Recv, nodeBytes) })
+		h.phase(r, "h_net", func() { h.netGather(r, a.Root, stage, a.Recv, nodeBytes, nodeBytes) })
 	}
 }
 
@@ -929,137 +971,5 @@ func (h *hier) flatReduce(r *Rank, a Args) {
 			h.xRecv(r, abs(peer), scratch, a.Count)
 			r.OS.Combine(r.SP, acc, scratch, a.Count)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Legacy self-allocating wrappers (fig17 and the multinode example).
-// These predate the Args-based family above; they allocate their own
-// buffers and keep the original fig17 shapes.
-// ---------------------------------------------------------------------
-
-// GatherTwoLevel is the paper's two-level gather: a contention-aware
-// intra-node gather to each node leader, then each leader ships its node
-// block to the global root (world rank 0).
-func GatherTwoLevel(intra func(*mpi.Rank, core.Args)) func(r *Rank, eta int64) {
-	return func(r *Rank, eta int64) {
-		cl := r.cluster
-		ppn := int64(cl.PPN)
-		send := r.Alloc(eta)
-		stage := r.Alloc(ppn * eta)
-		intra(r.Rank, core.Args{Send: send, Recv: stage, Count: eta, Root: 0})
-		nodeBytes := ppn * eta
-		if r.ID != 0 {
-			return
-		}
-		if r.Node != 0 {
-			r.NetSend(0, stage, nodeBytes)
-			return
-		}
-		recv := r.Alloc(int64(cl.NumNodes) * nodeBytes)
-		for n := 1; n < cl.NumNodes; n++ {
-			r.NetRecv(n*cl.PPN, recv+kernel.Addr(int64(n)*nodeBytes), nodeBytes)
-		}
-	}
-}
-
-// GatherFlat is the single-level comparator: every rank ships its block
-// straight to the root — intra-node ranks through the selected
-// transport, remote ranks over the fabric.
-func GatherFlat(tr core.Transport) func(r *Rank, eta int64) {
-	return func(r *Rank, eta int64) {
-		h := &hier{cl: r.cluster, tr: tr}
-		send := r.Alloc(eta)
-		var recv kernel.Addr
-		if r.World == 0 {
-			recv = r.Alloc(int64(r.cluster.WorldSize()) * eta)
-		}
-		h.flatGather(r, Args{Send: send, Recv: recv, Count: eta, Root: 0})
-	}
-}
-
-// GatherTwoLevelPipelined is the paper's §IX design: the message is
-// split into segments, and each leader forwards segment s over the
-// network while the node gathers segment s+1.
-func GatherTwoLevelPipelined(intra func(*mpi.Rank, core.Args), segments int) func(r *Rank, eta int64) {
-	if segments < 1 {
-		panic("cluster: segments must be >= 1")
-	}
-	return func(r *Rank, eta int64) {
-		cl := r.cluster
-		ppn := int64(cl.PPN)
-		segSize := (eta + int64(segments) - 1) / int64(segments)
-		send := r.Alloc(eta)
-		stage := r.Alloc(ppn * eta)
-		var recv kernel.Addr
-		if r.World == 0 {
-			recv = r.Alloc(int64(cl.WorldSize()) * eta)
-		}
-		for s := 0; s < segments; s++ {
-			off := int64(s) * segSize
-			if off >= eta {
-				break
-			}
-			n := segSize
-			if eta-off < n {
-				n = eta - off
-			}
-			// Intra-node gather of this segment (the stage layout is
-			// segment-major; a real implementation would address rank-
-			// major slots with a strided datatype at identical cost).
-			intra(r.Rank, core.Args{
-				Send:  send + kernel.Addr(off),
-				Recv:  stage + kernel.Addr(off*ppn),
-				Count: n,
-				Root:  0,
-			})
-			// Ship this node segment while the next segment gathers.
-			nodeBytes := ppn * n
-			if r.ID != 0 {
-				continue
-			}
-			if r.Node != 0 {
-				r.NetSend(0, stage+kernel.Addr(off*ppn), nodeBytes)
-				continue
-			}
-			for nd := 1; nd < cl.NumNodes; nd++ {
-				r.NetRecv(nd*cl.PPN, recv+kernel.Addr(int64(nd)*ppn*eta+off*ppn), nodeBytes)
-			}
-		}
-	}
-}
-
-// ScatterFlat is the single-level scatter comparator.
-func ScatterFlat(tr core.Transport) func(r *Rank, eta int64) {
-	return func(r *Rank, eta int64) {
-		h := &hier{cl: r.cluster, tr: tr}
-		recv := r.Alloc(eta)
-		var send kernel.Addr
-		if r.World == 0 {
-			send = r.Alloc(int64(r.cluster.WorldSize()) * eta)
-		}
-		h.flatScatter(r, Args{Send: send, Recv: recv, Count: eta, Root: 0})
-	}
-}
-
-// ScatterTwoLevel mirrors GatherTwoLevel for the root-to-all direction.
-func ScatterTwoLevel(intra func(*mpi.Rank, core.Args)) func(r *Rank, eta int64) {
-	return func(r *Rank, eta int64) {
-		cl := r.cluster
-		ppn := int64(cl.PPN)
-		recv := r.Alloc(eta)
-		stage := r.Alloc(ppn * eta)
-		nodeBytes := ppn * eta
-		if r.ID == 0 {
-			if r.Node == 0 {
-				send := r.Alloc(int64(cl.NumNodes) * nodeBytes)
-				for n := 1; n < cl.NumNodes; n++ {
-					r.NetSend(n*cl.PPN, send+kernel.Addr(int64(n)*nodeBytes), nodeBytes)
-				}
-			} else {
-				r.NetRecv(0, stage, nodeBytes)
-			}
-		}
-		intra(r.Rank, core.Args{Send: stage, Recv: recv, Count: eta, Root: 0})
 	}
 }

@@ -8,85 +8,13 @@ import (
 	"camc/internal/arch"
 	"camc/internal/core"
 	"camc/internal/kernel"
+	"camc/internal/payload"
 )
 
-// collBufSizes returns (send, recv) buffer sizes for one rank of a
-// world-size-p cluster collective.
-func collBufSizes(kind core.Kind, p int, count int64) (int64, int64) {
-	switch kind {
-	case core.KindScatter:
-		return int64(p) * count, count
-	case core.KindGather:
-		return count, int64(p) * count
-	case core.KindAlltoall:
-		return int64(p) * count, int64(p) * count
-	case core.KindAllgather:
-		return count, int64(p) * count
-	default: // bcast, reduce
-		return count, count
-	}
-}
-
-func sendPattern(w int, size int64) []byte {
-	b := make([]byte, size)
-	for i := range b {
-		b[i] = byte(w*131 + i*7 + 1)
-	}
-	return b
-}
-
-// collExpect computes world rank w's expected receive bytes, nil where
-// the collective leaves them unspecified (everything but the root's for
-// rooted kinds; a bcast root's own receive buffer is untouched).
-func collExpect(kind core.Kind, p int, count int64, root, w int, sends [][]byte) []byte {
-	switch kind {
-	case core.KindBcast:
-		if w == root {
-			return nil
-		}
-		return sends[root]
-	case core.KindGather:
-		if w != root {
-			return nil
-		}
-		exp := make([]byte, 0, int64(p)*count)
-		for s := 0; s < p; s++ {
-			exp = append(exp, sends[s]...)
-		}
-		return exp
-	case core.KindScatter:
-		return sends[root][int64(w)*count : int64(w+1)*count]
-	case core.KindAllgather:
-		exp := make([]byte, 0, int64(p)*count)
-		for s := 0; s < p; s++ {
-			exp = append(exp, sends[s]...)
-		}
-		return exp
-	case core.KindAlltoall:
-		exp := make([]byte, 0, int64(p)*count)
-		for s := 0; s < p; s++ {
-			exp = append(exp, sends[s][int64(w)*count:int64(w+1)*count]...)
-		}
-		return exp
-	case core.KindReduce:
-		if w != root {
-			return nil
-		}
-		exp := make([]byte, count)
-		for s := 0; s < p; s++ {
-			for i := range exp {
-				exp[i] += sends[s][i]
-			}
-		}
-		return exp
-	}
-	panic("unknown kind " + string(kind))
-}
-
-// TestClusterCollectivesMatchOracle runs every kind under every design
-// on materialized payload and checks the delivered bytes against a
-// sequential oracle — including non-power-of-two node counts, a
-// non-zero root, and both topologies.
+// TestClusterCollectivesMatchOracle runs every kind under every design,
+// flat-shm included, on materialized payload and checks the delivered
+// bytes against the payload reference executor — including
+// non-power-of-two node counts, a non-zero root, and both topologies.
 func TestClusterCollectivesMatchOracle(t *testing.T) {
 	cases := []struct {
 		nodes, ppn, root int
@@ -100,7 +28,7 @@ func TestClusterCollectivesMatchOracle(t *testing.T) {
 	count := int64(96)
 	for _, tc := range cases {
 		for _, kind := range core.SpecKinds() {
-			for _, design := range Designs() {
+			for _, design := range append(Designs(), DesignFlatShm) {
 				name := fmt.Sprintf("%s/%s/n%dp%dr%d-%s", kind, design, tc.nodes, tc.ppn, tc.root, tc.topo)
 				t.Run(name, func(t *testing.T) {
 					cl := New(Config{
@@ -112,7 +40,10 @@ func TestClusterCollectivesMatchOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					world := cl.WorldSize()
-					sendSize, recvSize := collBufSizes(kind, world, count)
+					sendSize, recvSize, err := payload.BufSizes(kind, world, count)
+					if err != nil {
+						t.Fatal(err)
+					}
 					sends := make([][]byte, world)
 					sendA := make([]kernel.Addr, world)
 					recvA := make([]kernel.Addr, world)
@@ -120,7 +51,7 @@ func TestClusterCollectivesMatchOracle(t *testing.T) {
 						p := cl.WorldRank(w).OS
 						sendA[w] = p.Alloc(sendSize)
 						recvA[w] = p.Alloc(recvSize)
-						sends[w] = sendPattern(w, sendSize)
+						sends[w] = payload.Pattern(kind, world, w, count)
 						p.WriteAt(sendA[w], sends[w])
 						p.FillAt(recvA[w], recvSize, 0xEE)
 					}
@@ -130,17 +61,14 @@ func TestClusterCollectivesMatchOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					for w := 0; w < world; w++ {
-						p := cl.WorldRank(w).OS
-						if got := p.Bytes(sendA[w], sendSize); !bytes.Equal(got, sends[w]) {
+						if got := cl.WorldRank(w).OS.Bytes(sendA[w], sendSize); !bytes.Equal(got, sends[w]) {
 							t.Errorf("rank %d: send buffer mutated", w)
 						}
-						exp := collExpect(kind, world, count, tc.root, w, sends)
-						if exp == nil {
-							continue
-						}
-						if got := p.Bytes(recvA[w], recvSize); !bytes.Equal(got, exp) {
-							t.Errorf("rank %d: recv payload mismatch", w)
-						}
+					}
+					if err := payload.Verify(kind, world, count, tc.root, sends, func(w int) []byte {
+						return cl.WorldRank(w).OS.Bytes(recvA[w], recvSize)
+					}); err != nil {
+						t.Error(err)
 					}
 				})
 			}
@@ -155,22 +83,7 @@ func TestClusterCollectivesDeterministic(t *testing.T) {
 		for _, design := range Designs() {
 			lat := func() float64 {
 				cl := New(Config{Arch: arch.Broadwell(), NumNodes: 3, PPN: 4})
-				coll, err := Lookup(cl, kind, design, "")
-				if err != nil {
-					t.Fatal(err)
-				}
-				world := cl.WorldSize()
-				count := int64(8 << 10)
-				sendSize, recvSize := collBufSizes(kind, world, count)
-				done, err := cl.Run(func(r *Rank) {
-					send := r.Alloc(sendSize)
-					recv := r.Alloc(recvSize)
-					coll.Run(r, Args{Send: send, Recv: recv, Count: count, Root: 5})
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return done
+				return runColl(t, cl, kind, design, "", Args{Count: 8 << 10, Root: 5})
 			}
 			if a, b := lat(), lat(); a != b {
 				t.Fatalf("%s/%s nondeterministic: %g vs %g", kind, design, a, b)
@@ -190,23 +103,7 @@ func TestClusterCollectivesDeterministic(t *testing.T) {
 func TestLeaderBeatsFlatAtScale(t *testing.T) {
 	for _, kind := range []core.Kind{core.KindBcast, core.KindGather, core.KindScatter} {
 		lat := func(design Design) float64 {
-			cl := New(Config{Arch: arch.KNL(), NumNodes: 8, PPN: 16})
-			coll, err := Lookup(cl, kind, design, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			world := cl.WorldSize()
-			count := int64(16 << 10)
-			sendSize, recvSize := collBufSizes(kind, world, count)
-			done, err := cl.Run(func(r *Rank) {
-				send := r.Alloc(sendSize)
-				recv := r.Alloc(recvSize)
-				coll.Run(r, Args{Send: send, Recv: recv, Count: count})
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return done
+			return runColl(t, knlCluster(8, 16), kind, design, "", Args{Count: 16 << 10})
 		}
 		flat, leader := lat(DesignFlat), lat(DesignLeader)
 		if leader >= flat {
@@ -225,5 +122,21 @@ func TestLookupErrors(t *testing.T) {
 	}
 	if _, err := Lookup(cl, core.KindGather, DesignLeader, "throttled:64"); err != nil {
 		t.Fatalf("replan should clamp the throttle to PPN: %v", err)
+	}
+}
+
+// TestLookupFlatShm: flat-shm resolves under its own name and design but
+// stays out of Designs(), which x11 and the checker iterate.
+func TestLookupFlatShm(t *testing.T) {
+	cl := New(Config{Arch: arch.KNL(), NumNodes: 2, PPN: 2})
+	coll, err := Lookup(cl, core.KindGather, DesignFlatShm, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coll.Name != "flat-shm" || coll.Design != DesignFlatShm {
+		t.Fatalf("flat-shm resolved as name %q design %q", coll.Name, coll.Design)
+	}
+	if got := fmt.Sprint(Designs()); got != "[flat leader shared]" {
+		t.Fatalf("Designs() = %s, want [flat leader shared]", got)
 	}
 }
