@@ -1,6 +1,12 @@
 package measure
 
 import (
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 
 	"camc/internal/arch"
@@ -37,13 +43,41 @@ func TestClusterRecoveredClean(t *testing.T) {
 	}
 }
 
+// recoverManifest pins the recovery latencies of every
+// TestClusterRecoveredSweep cell: one "<cell> <detect> <shrink> <elect>
+// <rerun>" line per cell, each latency as its Float64bits in hex.
+// Virtual time makes them a pure function of the code, so a moved line
+// is a real behaviour change. Regenerate after an intentional one with:
+//
+//	go test ./internal/measure -run TestClusterRecoveredSweep -update
+const recoverManifest = "testdata/recover.bits"
+
+var update = flag.Bool("update", false, "rewrite "+recoverManifest+" from the recovery sweep")
+
+// recoveryBits renders res's four recovery latencies as a manifest
+// value.
+func recoveryBits(res ClusterRecoveryResult) string {
+	return fmt.Sprintf("%016x %016x %016x %016x",
+		math.Float64bits(res.DetectLatency), math.Float64bits(res.ShrinkLatency),
+		math.Float64bits(res.ElectLatency), math.Float64bits(res.RerunLatency))
+}
+
+// rootDeathCell is TestClusterRecoveredWorldRootDeath's configuration:
+// a scatter whose world root (on a remote node) dies.
+func rootDeathCell() (ClusterRecoveryResult, error) {
+	return ClusterRecovered(arch.Broadwell(), core.KindScatter, cluster.DesignLeader, "tuned", 256,
+		ClusterOptions{Nodes: 4, PPN: 2, Root: 5, CopyData: true,
+			Kills: []cluster.Kill{{World: 5, Op: 1}}})
+}
+
 // TestClusterRecoveredSweep is the heart of the world-level recovery
-// path: every kind × every attempt design × three death scenarios
-// (member, leader, whole node). Each cell detects, agrees, shrinks both
-// tiers, re-elects, and re-runs with every survivor byte verified
-// inside the harness; here we additionally pin the failed set, the
-// survivor count, the latency signs, and that fabric residue only ever
-// targets the dead.
+// path: every kind × every attempt design × four death scenarios
+// (member, leader, a node left with only its leader, whole node). Each
+// cell detects, agrees, shrinks both tiers, re-elects, and re-runs with
+// every survivor byte verified inside the harness; here we additionally
+// pin the failed set, the survivor count, the latency signs, that
+// fabric residue only ever targets the dead, and every cell's latencies
+// bit for bit against recoverManifest (the root-death cell included).
 func TestClusterRecoveredSweep(t *testing.T) {
 	prof := arch.KNL()
 	scenarios := []struct {
@@ -52,8 +86,10 @@ func TestClusterRecoveredSweep(t *testing.T) {
 	}{
 		{"member", []cluster.Kill{{World: 4, Op: 1}}},
 		{"leader", []cluster.Kill{{World: 3, Op: 1}}},
+		{"pair", []cluster.Kill{{World: 4, Op: 1}, {World: 5, Op: 1}}},
 		{"node", []cluster.Kill{{World: 3, Op: 1}, {World: 4, Op: 1}, {World: 5, Op: 1}}},
 	}
+	got := map[string]string{}
 	for _, kind := range clusterKinds {
 		for _, design := range cluster.Designs() {
 			for _, sc := range scenarios {
@@ -63,6 +99,7 @@ func TestClusterRecoveredSweep(t *testing.T) {
 					t.Errorf("%s/%s/%s: %v", kind, design, sc.name, err)
 					continue
 				}
+				got[fmt.Sprintf("%s/%s/%s", kind, design, sc.name)] = recoveryBits(res)
 				if len(res.Failed) != len(sc.kills) {
 					t.Errorf("%s/%s/%s: failed=%v want %d deaths", kind, design, sc.name, res.Failed, len(sc.kills))
 					continue
@@ -86,17 +123,64 @@ func TestClusterRecoveredSweep(t *testing.T) {
 			}
 		}
 	}
+	res, err := rootDeathCell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["scatter/leader/world-root"] = recoveryBits(res)
+	if t.Failed() {
+		return
+	}
+	if *update {
+		keys := make([]string, 0, len(got))
+		for k := range got {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		var b strings.Builder
+		for _, k := range keys {
+			fmt.Fprintf(&b, "%s %s\n", k, got[k])
+		}
+		if err := os.WriteFile(recoverManifest, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(recoverManifest)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := map[string]string{}
+	for i, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		cell, bits, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s:%d: want \"<cell> <bits>\", got %q", recoverManifest, i+1, line)
+		}
+		want[cell] = bits
+	}
+	for cell, bits := range got {
+		w, ok := want[cell]
+		switch {
+		case !ok:
+			t.Errorf("%s: no line for cell %s (run with -update)", recoverManifest, cell)
+		case w != bits:
+			t.Errorf("%s: latencies moved: detect/shrink/elect/rerun bits %s, manifest has %s", cell, bits, w)
+		}
+	}
+	for cell := range want {
+		if _, ok := got[cell]; !ok {
+			t.Errorf("%s: line for cell %s that the sweep does not run", recoverManifest, cell)
+		}
+	}
 }
 
 // TestClusterRecoveredWorldRootDeath kills the collective's world root
 // on a remote node: the re-run must re-root deterministically onto new
 // id 0 and still verify byte-level (the harness panics the run
-// otherwise; we pin the re-root itself here).
+// otherwise; we pin the re-root itself here, and
+// TestClusterRecoveredSweep pins its latencies).
 func TestClusterRecoveredWorldRootDeath(t *testing.T) {
-	prof := arch.Broadwell()
-	res, err := ClusterRecovered(prof, core.KindScatter, cluster.DesignLeader, "tuned", 256,
-		ClusterOptions{Nodes: 4, PPN: 2, Root: 5, CopyData: true,
-			Kills: []cluster.Kill{{World: 5, Op: 1}}})
+	res, err := rootDeathCell()
 	if err != nil {
 		t.Fatal(err)
 	}
