@@ -11,13 +11,16 @@
 //	camc-report trend   -store results/camc.store -experiment tab6 -last 5
 //	camc-report regress -store scratch.store -against results/baseline.store -threshold 1.25
 //	camc-report regress -store results/camc.store -base bench-xyz
+//	camc-report regress -store scratch.store -against results/baseline.store -exact
 //	camc-report export  -store results/camc.store -out results/BENCH_sweep.json
 //	camc-report begin   -store results/camc.store -source bench -jobs 8
 //	camc-report append  -store results/camc.store -run <id> -experiment bench.sh -series tab6_seconds_j1 -value 13.5 -unit s
 //	camc-report now
 //
 // regress exits 0 when no cell breaches the threshold and 1 when any
-// does, so CI can gate on it mechanically.
+// does, so CI can gate on it mechanically. With -exact it instead
+// requires every cell (speedup cells included) to be bit-identical on
+// both sides and exits 1 on any difference or one-sided key.
 package main
 
 import (
@@ -294,6 +297,7 @@ func cmdRegress(args []string, stdout, stderr io.Writer) int {
 		headRun   = fs.String("head", "", "head run id (default: latest run with cells in -store)")
 		threshold = fs.Float64("threshold", 1.25, "head/base latency ratio above which a cell regressed")
 		minValue  = fs.Float64("min-value", 0.05, "ignore cells where both sides are below this (sub-noise)")
+		exact     = fs.Bool("exact", false, "require every cell, speedup cells included, to match bit for bit; ignores -threshold and -min-value")
 	)
 	f := cellFilterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -360,13 +364,16 @@ func cmdRegress(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	baseCmp := comparableCells(baseCells, *f)
-	headCmp := comparableCells(headCells, *f)
+	baseCmp := comparableCells(baseCells, *f, *exact)
+	headCmp := comparableCells(headCells, *f, *exact)
 	ds, onlyBase, onlyHead := store.Deltas(baseCmp, headCmp)
-	regs := store.Regressions(ds, opts)
 
 	fmt.Fprintf(stdout, "regress: head %s (rev %s) vs base %s (rev %s)\n",
 		head.RunID, orUnknown(head.GitRev), base.RunID, orUnknown(base.GitRev))
+	if *exact {
+		return exactReport(stdout, stderr, ds, onlyBase, onlyHead)
+	}
+	regs := store.Regressions(ds, opts)
 	fmt.Fprintf(stdout, "  %d cells compared (threshold %.2fx, min value %g); %d only in base, %d only in head\n",
 		len(ds), *threshold, *minValue, len(onlyBase), len(onlyHead))
 	if len(ds) == 0 {
@@ -389,14 +396,59 @@ func cmdRegress(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// comparableCells keeps the latency-like cells a regression gate can
-// judge: plain measurements, not speedup ratios ("x" unit), where a
-// bigger head value is not worse.
-func comparableCells(recs []store.Record, f store.Filter) []store.Record {
+// maxExactLines caps how many differing or one-sided cells -exact
+// prints.
+const maxExactLines = 20
+
+// exactReport is regress -exact's verdict: every joined cell must hold
+// the same Float64bits and no key may be one-sided. It prints the first
+// differences at full precision.
+func exactReport(stdout, stderr io.Writer, ds []store.Delta, onlyBase, onlyHead []store.Key) int {
+	fmt.Fprintf(stdout, "  %d cells compared bit for bit; %d only in base, %d only in head\n",
+		len(ds), len(onlyBase), len(onlyHead))
+	if len(ds) == 0 {
+		fmt.Fprintln(stderr, "regress: no comparable cells between the two runs (check filters and experiment sets)")
+		return 1
+	}
+	var lines []string
+	differ := 0
+	for _, d := range ds {
+		if math.Float64bits(d.Base) != math.Float64bits(d.Head) {
+			differ++
+			lines = append(lines, fmt.Sprintf("  DIFFERS    %.17g -> %.17g %s  %s", d.Base, d.Head, d.Unit, d.Key))
+		}
+	}
+	for _, k := range onlyBase {
+		lines = append(lines, fmt.Sprintf("  ONLY BASE  %s", k))
+	}
+	for _, k := range onlyHead {
+		lines = append(lines, fmt.Sprintf("  ONLY HEAD  %s", k))
+	}
+	if len(lines) == 0 {
+		fmt.Fprintf(stdout, "OK: all %d cells bit-identical\n", len(ds))
+		return 0
+	}
+	for i, l := range lines {
+		if i == maxExactLines {
+			fmt.Fprintf(stdout, "  ... %d more\n", len(lines)-i)
+			break
+		}
+		fmt.Fprintln(stdout, l)
+	}
+	fmt.Fprintf(stdout, "FAIL: %d of %d cells differ, %d only in base, %d only in head\n",
+		differ, len(ds), len(onlyBase), len(onlyHead))
+	return 1
+}
+
+// comparableCells keeps the cells a regression gate can judge. The
+// ratio gate takes the latency-like ones: plain measurements, not
+// speedup ratios ("x" unit), where a bigger head value is not worse.
+// The exact gate (withRatios) takes every cell.
+func comparableCells(recs []store.Record, f store.Filter, withRatios bool) []store.Record {
 	f.RunID = "" // cells come from different runs by construction
 	var out []store.Record
 	for _, r := range recs {
-		if r.Type != store.TypeCell || r.Unit == "x" {
+		if r.Type != store.TypeCell || (r.Unit == "x" && !withRatios) {
 			continue
 		}
 		if f.Match(r) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -149,6 +150,64 @@ func TestRegressSkipsSpeedupCells(t *testing.T) {
 	}
 	if !strings.Contains(out, "1 cells compared") {
 		t.Fatalf("speedup cell should be excluded from comparison:\n%s", out)
+	}
+}
+
+// TestRegressExact pins regress -exact: a head store matching the
+// baseline bit for bit passes (a speedup cell included), while a 1-ULP
+// change or a key on only one side fails and names the cell.
+func TestRegressExact(t *testing.T) {
+	const lat = 123.456
+	cases := []struct {
+		name  string
+		head  map[string]float64 // series -> value; "speedup" is an "x" cell
+		code  int
+		hints []string
+	}{
+		{"identical", map[string]float64{"lat": lat, "speedup": 2.5}, 0,
+			[]string{"2 cells compared bit for bit", "OK: all 2 cells bit-identical"}},
+		{"one_ulp", map[string]float64{"lat": math.Nextafter(lat, math.Inf(1)), "speedup": 2.5}, 1,
+			[]string{"DIFFERS    123.456 -> 123.45600000000002 us  bench.sh", "lat", "FAIL: 1 of 2 cells differ"}},
+		{"speedup_ulp", map[string]float64{"lat": lat, "speedup": math.Nextafter(2.5, 0)}, 1,
+			[]string{"DIFFERS", "speedup", "FAIL: 1 of 2 cells differ"}},
+		{"one_sided", map[string]float64{"lat": lat, "speedup": 2.5, "extra": 1}, 1,
+			[]string{"ONLY HEAD", "extra", "0 only in base, 1 only in head"}},
+	}
+	baseDir := filepath.Join(t.TempDir(), "baseline.store")
+	fill(t, baseDir, map[string]float64{"lat": lat, "speedup": 2.5})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			headDir := filepath.Join(t.TempDir(), "scratch.store")
+			fill(t, headDir, tc.head)
+			code, out, errb := runCLI(t, "regress", "-store", headDir, "-against", baseDir, "-exact")
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d\n%s%s", code, tc.code, out, errb)
+			}
+			for _, h := range tc.hints {
+				if !strings.Contains(out, h) {
+					t.Fatalf("output missing %q:\n%s", h, out)
+				}
+			}
+		})
+	}
+}
+
+// fill records one run in dir holding the given cells: "speedup" as an
+// "x"-unit cell, every other series as a latency.
+func fill(t *testing.T, dir string, cells map[string]float64) {
+	t.Helper()
+	r := beginRun(t, dir, "-source", "bench")
+	for series, v := range cells {
+		if series != "speedup" {
+			appendCell(t, dir, r, series, v)
+			continue
+		}
+		code, _, errb := runCLI(t, "append", "-store", dir, "-run", r,
+			"-experiment", "tab6", "-series", series,
+			"-value", strconv.FormatFloat(v, 'g', -1, 64), "-unit", "x")
+		if code != 0 {
+			t.Fatalf("append exit %d: %s", code, errb)
+		}
 	}
 }
 

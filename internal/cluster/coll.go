@@ -31,6 +31,10 @@ const (
 	// single-level comparator of Intel MPI-like libraries in Fig 17. It is
 	// not in Designs(), which lists the designs x11 and the checker compare.
 	DesignFlatShm Design = "flat-shm"
+	// designRerun labels the survivor re-run ("hcoll:<kind>:rerun"
+	// span); Rerun runs the leader implementations under it, and Lookup
+	// does not resolve it.
+	designRerun Design = "rerun"
 )
 
 // Designs returns the registered designs in comparison order.
@@ -63,7 +67,37 @@ type Coll struct {
 	// "flat-shm" or "<design>/<intra algorithm>".
 	Name string
 
-	run func(r *Rank, a Args)
+	h   *hier
+	run func(h *hier, r *Rank, a Args)
+}
+
+// implKey names one implementation: a kind under a design.
+type implKey struct {
+	kind   core.Kind
+	design Design
+}
+
+// impls is the kind × design → implementation table. Lookup resolves
+// every design through it, and Rerun takes its leader entries.
+var impls = map[implKey]func(h *hier, r *Rank, a Args){
+	{core.KindBcast, DesignFlat}:       (*hier).flatBcast,
+	{core.KindBcast, DesignLeader}:     (*hier).bcastLeader,
+	{core.KindBcast, DesignShared}:     (*hier).bcastShared,
+	{core.KindGather, DesignFlat}:      (*hier).flatGather,
+	{core.KindGather, DesignLeader}:    (*hier).gatherLeader,
+	{core.KindGather, DesignShared}:    (*hier).gatherShared,
+	{core.KindScatter, DesignFlat}:     (*hier).flatScatter,
+	{core.KindScatter, DesignLeader}:   (*hier).scatterLeader,
+	{core.KindScatter, DesignShared}:   (*hier).scatterShared,
+	{core.KindAllgather, DesignFlat}:   (*hier).flatAllgather,
+	{core.KindAllgather, DesignLeader}: (*hier).allgatherLeader,
+	{core.KindAllgather, DesignShared}: (*hier).allgatherShared,
+	{core.KindAlltoall, DesignFlat}:    (*hier).flatAlltoall,
+	{core.KindAlltoall, DesignLeader}:  (*hier).alltoallLeader,
+	{core.KindAlltoall, DesignShared}:  (*hier).alltoallShared,
+	{core.KindReduce, DesignFlat}:      (*hier).flatReduce,
+	{core.KindReduce, DesignLeader}:    (*hier).reduceLeader,
+	{core.KindReduce, DesignShared}:    (*hier).reduceShared,
 }
 
 // Lookup resolves a cluster collective. intraSpec is the same-kind
@@ -71,54 +105,29 @@ type Coll struct {
 // for the cluster's PPN exactly like post-shrink Replan clamps tuning
 // parameters to the communicator size. The flat designs and the kinds
 // whose hierarchical decomposition has no same-kind on-node phase
-// (alltoall) validate the spec but do not run it.
+// (alltoall) validate the spec but do not run it. The two-level designs
+// address nodes through the full cluster's node map, the identity
+// Shrunk table; Rerun runs the same leader functions over a survivor
+// table.
 func Lookup(cl *Cluster, kind core.Kind, design Design, intraSpec string) (Coll, error) {
-	if intraSpec == "" {
-		intraSpec = "tuned"
-	}
-	intra, err := core.Replan(kind, intraSpec, cl.PPN)
+	h, err := newHier(cl, buildShrunkTable(cl, nil, kind, 0), kind, intraSpec)
 	if err != nil {
 		return Coll{}, err
 	}
-	h := &hier{cl: cl, intra: intra}
 	impl := design
 	if design == DesignFlatShm {
 		h.tr = core.TransportShm
 		impl = DesignFlat
 	}
-	type key struct {
-		k core.Kind
-		d Design
-	}
-	impls := map[key]func(*Rank, Args){
-		{core.KindBcast, DesignFlat}:       h.flatBcast,
-		{core.KindBcast, DesignLeader}:     h.bcastLeader,
-		{core.KindBcast, DesignShared}:     h.bcastShared,
-		{core.KindGather, DesignFlat}:      h.flatGather,
-		{core.KindGather, DesignLeader}:    h.gatherLeader,
-		{core.KindGather, DesignShared}:    h.gatherShared,
-		{core.KindScatter, DesignFlat}:     h.flatScatter,
-		{core.KindScatter, DesignLeader}:   h.scatterLeader,
-		{core.KindScatter, DesignShared}:   h.scatterShared,
-		{core.KindAllgather, DesignFlat}:   h.flatAllgather,
-		{core.KindAllgather, DesignLeader}: h.allgatherLeader,
-		{core.KindAllgather, DesignShared}: h.allgatherShared,
-		{core.KindAlltoall, DesignFlat}:    h.flatAlltoall,
-		{core.KindAlltoall, DesignLeader}:  h.alltoallLeader,
-		{core.KindAlltoall, DesignShared}:  h.alltoallShared,
-		{core.KindReduce, DesignFlat}:      h.flatReduce,
-		{core.KindReduce, DesignLeader}:    h.reduceLeader,
-		{core.KindReduce, DesignShared}:    h.reduceShared,
-	}
-	run, ok := impls[key{kind, impl}]
+	run, ok := impls[implKey{kind, impl}]
 	if !ok {
 		return Coll{}, fmt.Errorf("cluster: no %q implementation of %s (designs: %v)", design, kind, Designs())
 	}
 	name := string(design)
 	if impl != DesignFlat {
-		name += "/" + intra.Name
+		name += "/" + h.intra.Name
 	}
-	return Coll{Kind: kind, Design: design, Name: name, run: run}, nil
+	return Coll{Kind: kind, Design: design, Name: name, h: h, run: run}, nil
 }
 
 // Run executes the collective on the calling world rank. Every rank of
@@ -147,7 +156,7 @@ func (c Coll) Run(r *Rank, a Args) {
 		span = rec.Begin(r.Lane(), trace.CatColl, "hcoll:"+string(c.Kind)+":"+string(c.Design),
 			trace.F("bytes", float64(a.Count)), trace.F("root", float64(a.Root)))
 	}
-	c.run(r, a)
+	c.run(c.h, r, a)
 	if rec.Enabled() {
 		rec.End(span)
 	}
@@ -155,12 +164,46 @@ func (c Coll) Run(r *Rank, a Args) {
 
 // hier carries the resolved pieces a collective family closes over.
 type hier struct {
-	cl    *Cluster
+	cl *Cluster
+	// sh is the node map the leader designs address everything
+	// through: Lookup's full-cluster table (the identity: node n's
+	// ranks are n·PPN onwards) or a re-run's survivor table. Roots and
+	// buffer offsets are in its numbering.
+	sh   *Shrunk
+	kind core.Kind
+	spec string
+	// intra is the same-kind intra-node plan at the cluster's PPN.
 	intra core.Algorithm
 	// tr selects the intra-node transport of the flat edges: pt2pt
 	// (kernel-assisted rendezvous) for DesignFlat, shm (two-copy) for
 	// DesignFlatShm.
 	tr core.Transport
+}
+
+// newHier resolves the intra-node plan for kind and spec ("" = tuned)
+// over the node map sh.
+func newHier(cl *Cluster, sh *Shrunk, kind core.Kind, spec string) (*hier, error) {
+	if spec == "" {
+		spec = "tuned"
+	}
+	intra, err := core.Replan(kind, spec, cl.PPN)
+	if err != nil {
+		return nil, err
+	}
+	return &hier{cl: cl, sh: sh, kind: kind, spec: spec, intra: intra}, nil
+}
+
+// intraOn is the same-kind intra-node plan for a node of kn ranks:
+// the PPN plan on a full node, core.Replan at kn on a shrunk one.
+func (h *hier) intraOn(kn int) core.Algorithm {
+	if kn == h.cl.PPN {
+		return h.intra
+	}
+	al, err := core.Replan(h.kind, h.spec, kn)
+	if err != nil {
+		panic(fmt.Sprintf("cluster: replan %s/%s for %d survivors: %v", h.kind, h.spec, kn, err))
+	}
+	return al
 }
 
 // phase wraps an on-node ("h_intra") or inter-node ("h_net") stage in a
@@ -177,19 +220,33 @@ func (h *hier) phase(r *Rank, name string, f func()) {
 	rec.End(span)
 }
 
-// leaderLocal returns the node-local leader rank on a node: the world
-// root leads its own node (so the root's buffers are used in place),
-// local rank 0 leads everywhere else. Non-rooted kinds pass root 0.
+// leaderLocal returns the node-local leader rank on a node: the root
+// leads its own node (so the root's buffers are used in place), local
+// rank 0 leads everywhere else. Non-rooted kinds pass root 0.
 func (h *hier) leaderLocal(node, root int) int {
-	if h.cl.NodeOf(root) == node {
-		return h.cl.LocalOf(root)
+	if h.sh.NodeOfNew(root) == node {
+		return root - h.sh.Prefix[node]
 	}
 	return 0
 }
 
 // leaderWorld is the world rank of a node's leader.
 func (h *hier) leaderWorld(node, root int) int {
-	return node*h.cl.PPN + h.leaderLocal(node, root)
+	return h.sh.OldWorld[h.sh.Prefix[node]+h.leaderLocal(node, root)]
+}
+
+// nodeStage is where a rooted kind's leader stages its node's block of
+// buf (count bytes per member): in place on the root's node, a fresh
+// block elsewhere. Other members get buf, which they never address.
+func (h *hier) nodeStage(r *Rank, lead, root int, buf kernel.Addr, count int64) kernel.Addr {
+	sh := h.sh
+	switch {
+	case r.ID != lead:
+		return buf
+	case r.Node == sh.NodeOfNew(root):
+		return buf + kernel.Addr(int64(sh.Prefix[r.Node])*count)
+	}
+	return r.Alloc(int64(sh.SurvivorsOn(r.Node)) * count)
 }
 
 func lowbit(v int) int { return v & -v }
@@ -215,23 +272,12 @@ func (r *Rank) movePayload(dst, src kernel.Addr, n int64) {
 	r.OS.WriteAt(dst, tmp)
 }
 
-// ---------------------------------------------------------------------
-// Node-level (leader) algorithms over the fabric.
-// ---------------------------------------------------------------------
-
-// netBcast is a binomial broadcast among node leaders, rooted at the
-// root's node, safe for any node count.
-func (h *hier) netBcast(r *Rank, root int, buf kernel.Addr, size int64) {
-	n := h.cl.NumNodes
-	if n == 1 {
-		return
-	}
-	rootNode := h.cl.NodeOf(root)
-	rel := (r.Node - rootNode + n) % n
-	abs := func(rel int) int { return (rel + rootNode) % n }
+// binomialBcast walks the binomial broadcast tree over n positions from
+// position rel (root 0): receive from the parent, then send to each
+// child, farthest first.
+func binomialBcast(n, rel int, recv, send func(pos int)) {
 	if rel != 0 {
-		parent := rel - lowbit(rel)
-		r.NetRecv(h.leaderWorld(abs(parent), root), buf, size)
+		recv(rel - lowbit(rel))
 	}
 	top := lowbit(rel)
 	if rel == 0 {
@@ -242,26 +288,21 @@ func (h *hier) netBcast(r *Rank, root int, buf kernel.Addr, size int64) {
 	}
 	for mask := top >> 1; mask >= 1; mask >>= 1 {
 		if child := rel + mask; child < n {
-			r.NetSend(h.leaderWorld(abs(child), root), buf, size)
+			send(child)
 		}
 	}
 }
 
-// netReduce is the binomial reverse: leaders combine child accumulators
-// up the tree; the root's node ends with the global result in acc.
-func (h *hier) netReduce(r *Rank, root int, acc kernel.Addr, size int64) {
-	n := h.cl.NumNodes
-	if n == 1 {
-		return
-	}
-	rootNode := h.cl.NodeOf(root)
-	rel := (r.Node - rootNode + n) % n
-	abs := func(rel int) int { return (rel + rootNode) % n }
+// binomialReduce walks the binomial reduction tree over n positions
+// from position rel (root 0): fold each child's contribution in
+// (recv(pos, scratch) then combine, scratch allocated on first use),
+// then send the accumulator acc to the parent.
+func binomialReduce(r *Rank, n, rel int, acc kernel.Addr, size int64, recv, send func(pos int, buf kernel.Addr)) {
 	var scratch kernel.Addr
 	haveScratch := false
 	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask != 0 {
-			r.NetSend(h.leaderWorld(abs(rel-mask), root), acc, size)
+			send(rel-mask, acc)
 			return
 		}
 		if peer := rel + mask; peer < n {
@@ -269,73 +310,33 @@ func (h *hier) netReduce(r *Rank, root int, acc kernel.Addr, size int64) {
 				scratch = r.Alloc(size)
 				haveScratch = true
 			}
-			r.NetRecv(h.leaderWorld(abs(peer), root), scratch, size)
+			recv(peer, scratch)
 			r.OS.Combine(r.SP, acc, scratch, size)
 		}
 	}
 }
 
-// netGather ships each non-root leader's size-byte node block (stage)
-// straight to the root, which lands node n's block at dst + n*stride.
-// The root drains O(nodes) flows — the incast the fabric's γ_net makes
-// expensive, but still a factor PPN fewer flows than a flat direct
-// gather.
-func (h *hier) netGather(r *Rank, root int, stage, dst kernel.Addr, stride, size int64) {
-	rootNode := h.cl.NodeOf(root)
-	if r.Node != rootNode {
-		r.NetSend(root, stage, size)
-		return
-	}
-	for n := 0; n < h.cl.NumNodes; n++ {
-		if n == rootNode {
-			continue
-		}
-		r.NetRecv(h.leaderWorld(n, root), dst+kernel.Addr(int64(n)*stride), size)
-	}
-}
+// exchange sends sn bytes at sa to position dst and receives rn bytes
+// at ra from position src.
+type exchange func(dst int, sa kernel.Addr, sn int64, src int, ra kernel.Addr, rn int64)
 
-// netScatter is the reverse: the root pushes node block n (at
-// src + n*nodeBytes) to node n's leader.
-func (h *hier) netScatter(r *Rank, root int, stage, src kernel.Addr, nodeBytes int64) {
-	rootNode := h.cl.NodeOf(root)
-	if r.Node != rootNode {
-		r.NetRecv(root, stage, nodeBytes)
-		return
-	}
-	for n := 0; n < h.cl.NumNodes; n++ {
-		if n == rootNode {
-			continue
-		}
-		r.NetSend(h.leaderWorld(n, root), src+kernel.Addr(int64(n)*nodeBytes), nodeBytes)
-	}
-}
-
-// netAllgather runs Bruck's allgather among leaders at node-block
-// granularity: recv must already hold the caller's node block at
-// offset node*nodeBytes, and ends with every node block in place.
-func (h *hier) netAllgather(r *Rank, recv kernel.Addr, nodeBytes int64) {
-	n, me := h.cl.NumNodes, r.Node
-	if n == 1 {
-		return
-	}
-	work := r.Alloc(int64(n) * nodeBytes)
-	r.LocalCopy(work, recv+kernel.Addr(int64(me)*nodeBytes), nodeBytes)
+// bruckAllgather runs Bruck's allgather over n positions of blk-byte
+// blocks: own is the caller's block (position me), and recv ends with
+// every block in position order.
+func (r *Rank) bruckAllgather(n, me int, blk int64, own, recv kernel.Addr, xchg exchange) {
+	work := r.Alloc(int64(n) * blk)
+	r.LocalCopy(work, own, blk)
 	for filled := 1; filled < n; {
-		cnt := filled
-		if n-filled < cnt {
-			cnt = n - filled
-		}
-		sz := int64(cnt) * nodeBytes
-		r.NetSend(h.leaderWorld((me-filled+n)%n, 0), work, sz)
-		r.NetRecv(h.leaderWorld((me+filled)%n, 0), work+kernel.Addr(int64(filled)*nodeBytes), sz)
+		cnt := min(filled, n-filled)
+		sz := int64(cnt) * blk
+		xchg((me-filled+n)%n, work, sz, (me+filled)%n, work+kernel.Addr(int64(filled)*blk), sz)
 		filled += cnt
 	}
-	// Rotate back into world order: recv[(me+i) mod n] = work[i].
-	r.packCost(int64(n) * nodeBytes)
-	if h.cl.CopyData {
+	// Rotate back into position order: recv[(me+i) mod n] = work[i].
+	r.packCost(int64(n) * blk)
+	if r.cluster.CopyData {
 		for i := 0; i < n; i++ {
-			r.movePayload(recv+kernel.Addr(int64((me+i)%n)*nodeBytes),
-				work+kernel.Addr(int64(i)*nodeBytes), nodeBytes)
+			r.movePayload(recv+kernel.Addr(int64((me+i)%n)*blk), work+kernel.Addr(int64(i)*blk), blk)
 		}
 	}
 }
@@ -350,6 +351,130 @@ func selCount(n, pow int) int64 {
 		rem = 0
 	}
 	return int64(full + rem)
+}
+
+// bruckSteps runs the log2(n) exchange steps of Bruck's alltoall over n
+// positions of blk-byte blocks held rotated in work: at step pow the
+// blocks whose index has bit pow set go to position me+pow and are
+// replaced by those from me-pow.
+func (r *Rank) bruckSteps(n, me int, blk int64, work kernel.Addr, xchg exchange) {
+	stageOut := r.Alloc(int64((n+1)/2) * blk)
+	stageIn := r.Alloc(int64((n+1)/2) * blk)
+	for pow := 1; pow < n; pow <<= 1 {
+		nsel := selCount(n, pow)
+		r.packCost(nsel * blk)
+		if r.cluster.CopyData {
+			u := int64(0)
+			for j := 0; j < n; j++ {
+				if j&pow != 0 {
+					r.movePayload(stageOut+kernel.Addr(u*blk), work+kernel.Addr(int64(j)*blk), blk)
+					u++
+				}
+			}
+		}
+		xchg((me+pow)%n, stageOut, nsel*blk, (me-pow+n)%n, stageIn, nsel*blk)
+		r.packCost(nsel * blk)
+		if r.cluster.CopyData {
+			u := int64(0)
+			for j := 0; j < n; j++ {
+				if j&pow != 0 {
+					r.movePayload(work+kernel.Addr(int64(j)*blk), stageIn+kernel.Addr(u*blk), blk)
+					u++
+				}
+			}
+		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// Node-level (leader) algorithms over the fabric.
+// ---------------------------------------------------------------------
+
+// netBcast is a binomial broadcast among node leaders over the
+// alive-node positions of the node map, rooted at the root's node.
+func (h *hier) netBcast(r *Rank, root int, buf kernel.Addr, size int64) {
+	n, rel, leader := h.nodeTree(r, root)
+	binomialBcast(n, rel,
+		func(pos int) { r.NetRecv(leader(pos), buf, size) },
+		func(pos int) { r.NetSend(leader(pos), buf, size) })
+}
+
+// netReduce is the binomial reverse: leaders combine child accumulators
+// up the tree; the root's node ends with the global result in acc.
+func (h *hier) netReduce(r *Rank, root int, acc kernel.Addr, size int64) {
+	n, rel, leader := h.nodeTree(r, root)
+	binomialReduce(r, n, rel, acc, size,
+		func(pos int, buf kernel.Addr) { r.NetRecv(leader(pos), buf, size) },
+		func(pos int, buf kernel.Addr) { r.NetSend(leader(pos), buf, size) })
+}
+
+// nodeTree places the caller's node in a tree over the alive nodes
+// rooted at root's node: the position count, the caller's position
+// relative to the root, and the leader (world rank) at a position.
+func (h *hier) nodeTree(r *Rank, root int) (n, rel int, leader func(pos int) int) {
+	sh := h.sh
+	n = len(sh.AliveNodes)
+	rootIdx := sh.NodeIdx[sh.NodeOfNew(root)]
+	rel = (sh.NodeIdx[r.Node] - rootIdx + n) % n
+	return n, rel, func(pos int) int { return h.leaderWorld(sh.AliveNodes[(pos+rootIdx)%n], root) }
+}
+
+// netGather ships each non-root leader's node block (stage, n bytes per
+// member) straight to the root, which lands node m's block at
+// dst + first(m)·stride. The root drains O(nodes) flows — the incast
+// the fabric's γ_net makes expensive, but still a factor PPN fewer
+// flows than a flat direct gather.
+func (h *hier) netGather(r *Rank, root int, stage, dst kernel.Addr, stride, n int64) {
+	sh := h.sh
+	rootNode := sh.NodeOfNew(root)
+	if r.Node != rootNode {
+		r.NetSend(sh.OldWorld[root], stage, int64(sh.SurvivorsOn(r.Node))*n)
+		return
+	}
+	for _, m := range sh.AliveNodes {
+		if m == rootNode {
+			continue
+		}
+		r.NetRecv(h.leaderWorld(m, root), dst+kernel.Addr(int64(sh.Prefix[m])*stride), int64(sh.SurvivorsOn(m))*n)
+	}
+}
+
+// netScatter is the reverse: the root pushes node m's block (at
+// src + first(m)·count) to node m's leader.
+func (h *hier) netScatter(r *Rank, root int, stage, src kernel.Addr, count int64) {
+	sh := h.sh
+	rootNode := sh.NodeOfNew(root)
+	if r.Node != rootNode {
+		r.NetRecv(sh.OldWorld[root], stage, int64(sh.SurvivorsOn(r.Node))*count)
+		return
+	}
+	for _, m := range sh.AliveNodes {
+		if m == rootNode {
+			continue
+		}
+		r.NetSend(h.leaderWorld(m, root), src+kernel.Addr(int64(sh.Prefix[m])*count), int64(sh.SurvivorsOn(m))*count)
+	}
+}
+
+// netExchange is the leaders' exchange over the fabric (full table:
+// node id = position): fabric sends are buffered, so send first.
+func (h *hier) netExchange(r *Rank) exchange {
+	return func(dst int, sa kernel.Addr, sn int64, src int, ra kernel.Addr, rn int64) {
+		r.NetSend(h.leaderWorld(dst, 0), sa, sn)
+		r.NetRecv(h.leaderWorld(src, 0), ra, rn)
+	}
+}
+
+// netAllgather runs Bruck's allgather among leaders at node-block
+// granularity: recv must already hold the caller's node block at
+// offset node*nodeBytes, and ends with every node block in place. It
+// and netAlltoall run on the full cluster's table only (equal node
+// blocks, node id = position).
+func (h *hier) netAllgather(r *Rank, recv kernel.Addr, nodeBytes int64) {
+	n, me := h.cl.NumNodes, r.Node
+	if n > 1 {
+		r.bruckAllgather(n, me, nodeBytes, recv+kernel.Addr(int64(me)*nodeBytes), recv, h.netExchange(r))
+	}
 }
 
 // netAlltoall runs Bruck's alltoall among leaders at bundle granularity.
@@ -378,33 +503,7 @@ func (h *hier) netAlltoall(r *Rank, stage, mstage kernel.Addr, count int64) {
 		}
 	}
 	// Phase 2: log2(n) exchange steps over the fabric.
-	stageOut := r.Alloc(int64((n+1)/2) * bundle)
-	stageIn := r.Alloc(int64((n+1)/2) * bundle)
-	for pow := 1; pow < n; pow <<= 1 {
-		nsel := selCount(n, pow)
-		r.packCost(nsel * bundle)
-		if cl.CopyData {
-			u := int64(0)
-			for j := 0; j < n; j++ {
-				if j&pow != 0 {
-					r.movePayload(stageOut+kernel.Addr(u*bundle), bwork+kernel.Addr(int64(j)*bundle), bundle)
-					u++
-				}
-			}
-		}
-		r.NetSend(h.leaderWorld((me+pow)%n, 0), stageOut, nsel*bundle)
-		r.NetRecv(h.leaderWorld((me-pow+n)%n, 0), stageIn, nsel*bundle)
-		r.packCost(nsel * bundle)
-		if cl.CopyData {
-			u := int64(0)
-			for j := 0; j < n; j++ {
-				if j&pow != 0 {
-					r.movePayload(bwork+kernel.Addr(int64(j)*bundle), stageIn+kernel.Addr(u*bundle), bundle)
-					u++
-				}
-			}
-		}
-	}
+	r.bruckSteps(n, me, bundle, bwork, h.netExchange(r))
 	// Phase 3: inverse rotation + transpose. The bundle from source node
 	// j sits at bwork[(me-j+n) mod n]; member dl's block from world rank
 	// j*ppn+sl goes to mstage[dl] at offset (j*ppn+sl)*count.
@@ -428,31 +527,27 @@ func (h *hier) netAlltoall(r *Rank, stage, mstage kernel.Addr, count int64) {
 // ---------------------------------------------------------------------
 
 func (h *hier) bcastLeader(r *Rank, a Args) {
+	sh := h.sh
+	kn := sh.SurvivorsOn(r.Node)
 	lead := h.leaderLocal(r.Node, a.Root)
 	buf := a.Recv
-	if r.World == a.Root {
+	if sh.NewWorld[r.World] == a.Root {
 		buf = a.Send
 	}
 	if r.ID == lead {
 		h.phase(r, "h_net", func() { h.netBcast(r, a.Root, buf, a.Count) })
 	}
 	h.phase(r, "h_intra", func() {
-		h.intra.Run(r.Rank, core.Args{Send: buf, Recv: a.Recv, Count: a.Count, Root: lead})
+		if kn > 1 {
+			h.intraOn(kn).Run(r.Rank, core.Args{Send: buf, Recv: a.Recv, Count: a.Count, Root: lead})
+		}
 	})
 }
 
 func (h *hier) gatherLeader(r *Rank, a Args) {
-	cl := h.cl
+	kn := h.sh.SurvivorsOn(r.Node)
 	lead := h.leaderLocal(r.Node, a.Root)
-	nodeBytes := int64(cl.PPN) * a.Count
-	stage := a.Recv // non-leaders: unused by the intra root
-	if r.ID == lead {
-		if r.Node == cl.NodeOf(a.Root) {
-			stage = a.Recv + kernel.Addr(int64(r.Node)*nodeBytes)
-		} else {
-			stage = r.Alloc(nodeBytes)
-		}
-	}
+	stage := h.nodeStage(r, lead, a.Root, a.Recv, a.Count)
 	// Segment s of every member's block lands segment-major in the node
 	// block (a real implementation would address rank-major slots with a
 	// strided datatype at identical cost), and the leader ships it while
@@ -465,86 +560,123 @@ func (h *hier) gatherLeader(r *Rank, a Args) {
 			break
 		}
 		n := min(segLen, a.Count-off)
-		seg := kernel.Addr(int64(cl.PPN) * off)
+		seg := kernel.Addr(int64(kn) * off)
 		h.phase(r, "h_intra", func() {
-			h.intra.Run(r.Rank, core.Args{Send: a.Send + kernel.Addr(off), Recv: stage + seg, Count: n, Root: lead})
+			if kn > 1 {
+				h.intraOn(kn).Run(r.Rank, core.Args{Send: a.Send + kernel.Addr(off), Recv: stage + seg, Count: n, Root: lead})
+			} else {
+				r.LocalCopy(stage+seg, a.Send+kernel.Addr(off), n)
+			}
 		})
 		if r.ID == lead {
-			h.phase(r, "h_net", func() { h.netGather(r, a.Root, stage+seg, a.Recv+seg, nodeBytes, int64(cl.PPN)*n) })
+			h.phase(r, "h_net", func() { h.netGather(r, a.Root, stage+seg, a.Recv+seg, a.Count, n) })
 		}
 	}
 }
 
 func (h *hier) scatterLeader(r *Rank, a Args) {
-	cl := h.cl
+	kn := h.sh.SurvivorsOn(r.Node)
 	lead := h.leaderLocal(r.Node, a.Root)
-	nodeBytes := int64(cl.PPN) * a.Count
-	stage := a.Send // non-leaders: unused by the intra root
+	stage := h.nodeStage(r, lead, a.Root, a.Send, a.Count)
 	if r.ID == lead {
-		if r.Node == cl.NodeOf(a.Root) {
-			stage = a.Send + kernel.Addr(int64(r.Node)*nodeBytes)
-		} else {
-			stage = r.Alloc(nodeBytes)
-		}
-	}
-	if r.ID == lead {
-		h.phase(r, "h_net", func() { h.netScatter(r, a.Root, stage, a.Send, nodeBytes) })
+		h.phase(r, "h_net", func() { h.netScatter(r, a.Root, stage, a.Send, a.Count) })
 	}
 	h.phase(r, "h_intra", func() {
-		h.intra.Run(r.Rank, core.Args{Send: stage, Recv: a.Recv, Count: a.Count, Root: lead})
+		if kn > 1 {
+			h.intraOn(kn).Run(r.Rank, core.Args{Send: stage, Recv: a.Recv, Count: a.Count, Root: lead})
+		} else {
+			r.LocalCopy(a.Recv, stage, a.Count)
+		}
 	})
 }
 
+// allgatherLeader and alltoallLeader run Bruck among the leaders on the
+// full cluster. Bruck's node-block rotation needs equal node blocks and
+// node ids equal to positions, so a survivor table with failures takes
+// the direct leader exchange instead — even when whole-node loss left
+// the blocks equal, so a re-run's schedule depends only on whether
+// anyone died.
 func (h *hier) allgatherLeader(r *Rank, a Args) {
-	cl := h.cl
+	sh := h.sh
+	kn := sh.SurvivorsOn(r.Node)
 	lead := h.leaderLocal(r.Node, 0)
-	nodeBytes := int64(cl.PPN) * a.Count
-	full := int64(cl.WorldSize()) * a.Count
+	nodeBlock := a.Recv + kernel.Addr(int64(sh.Prefix[r.Node])*a.Count)
+	full := int64(sh.NewSize) * a.Count
 	// Same-kind intra phase: allgather the node block in place, so every
 	// member (the leader included) holds it at its world offset.
 	h.phase(r, "h_intra", func() {
-		h.intra.Run(r.Rank, core.Args{
-			Send: a.Send, Recv: a.Recv + kernel.Addr(int64(r.Node)*nodeBytes),
-			Count: a.Count, Root: 0,
-		})
+		if kn > 1 {
+			h.intraOn(kn).Run(r.Rank, core.Args{Send: a.Send, Recv: nodeBlock, Count: a.Count, Root: 0})
+		} else {
+			r.LocalCopy(nodeBlock, a.Send, a.Count)
+		}
 	})
 	if r.ID == lead {
-		h.phase(r, "h_net", func() { h.netAllgather(r, a.Recv, nodeBytes) })
+		h.phase(r, "h_net", func() {
+			if len(sh.Failed) > 0 {
+				h.directAllgather(r, a.Recv, a.Count)
+			} else {
+				h.netAllgather(r, a.Recv, int64(kn)*a.Count)
+			}
+		})
 	}
 	// Fan the completed world buffer out to the node.
 	h.phase(r, "h_intra", func() {
-		core.TunedBcast(r.Rank, core.Args{Send: a.Recv, Recv: a.Recv, Count: full, Root: lead})
+		if kn > 1 {
+			core.TunedBcast(r.Rank, core.Args{Send: a.Recv, Recv: a.Recv, Count: full, Root: lead})
+		}
 	})
 }
 
 func (h *hier) alltoallLeader(r *Rank, a Args) {
-	cl := h.cl
+	sh := h.sh
+	kn := sh.SurvivorsOn(r.Node)
 	lead := h.leaderLocal(r.Node, 0)
-	vec := int64(cl.WorldSize()) * a.Count
+	vec := int64(sh.NewSize) * a.Count
 	var stage, mstage kernel.Addr
 	if r.ID == lead {
-		stage = r.Alloc(int64(cl.PPN) * vec)
-		mstage = r.Alloc(int64(cl.PPN) * vec)
+		stage = r.Alloc(int64(kn) * vec)
+		mstage = r.Alloc(int64(kn) * vec)
 	}
 	h.phase(r, "h_intra", func() {
-		core.TunedGather(r.Rank, core.Args{Send: a.Send, Recv: stage, Count: vec, Root: lead})
+		if kn > 1 {
+			core.TunedGather(r.Rank, core.Args{Send: a.Send, Recv: stage, Count: vec, Root: lead})
+		} else {
+			r.LocalCopy(stage, a.Send, vec)
+		}
 	})
 	if r.ID == lead {
-		h.phase(r, "h_net", func() { h.netAlltoall(r, stage, mstage, a.Count) })
+		h.phase(r, "h_net", func() {
+			if len(sh.Failed) > 0 {
+				h.directAlltoall(r, stage, mstage, a.Count)
+			} else {
+				h.netAlltoall(r, stage, mstage, a.Count)
+			}
+		})
 	}
 	h.phase(r, "h_intra", func() {
-		core.TunedScatter(r.Rank, core.Args{Send: mstage, Recv: a.Recv, Count: vec, Root: lead})
+		if kn > 1 {
+			core.TunedScatter(r.Rank, core.Args{Send: mstage, Recv: a.Recv, Count: vec, Root: lead})
+		} else {
+			r.LocalCopy(a.Recv, mstage, vec)
+		}
 	})
 }
 
 func (h *hier) reduceLeader(r *Rank, a Args) {
+	sh := h.sh
+	kn := sh.SurvivorsOn(r.Node)
 	lead := h.leaderLocal(r.Node, a.Root)
 	acc := a.Recv
-	if r.ID == lead && r.World != a.Root {
+	if r.ID == lead && sh.NewWorld[r.World] != a.Root {
 		acc = r.Alloc(a.Count)
 	}
 	h.phase(r, "h_intra", func() {
-		h.intra.Run(r.Rank, core.Args{Send: a.Send, Recv: acc, Count: a.Count, Root: lead})
+		if kn > 1 {
+			h.intraOn(kn).Run(r.Rank, core.Args{Send: a.Send, Recv: acc, Count: a.Count, Root: lead})
+		} else {
+			r.LocalCopy(acc, a.Send, a.Count)
+		}
 	})
 	if r.ID == lead {
 		h.phase(r, "h_net", func() { h.netReduce(r, a.Root, acc, a.Count) })
@@ -558,6 +690,26 @@ func (h *hier) reduceLeader(r *Rank, a Args) {
 // intra-node algorithms were designed around.
 // ---------------------------------------------------------------------
 
+// notifyMembers posts a token from the node leader to every other
+// member of the node.
+func (r *Rank) notifyMembers(lead int) {
+	for dl := 0; dl < r.cluster.PPN; dl++ {
+		if dl != lead {
+			r.Notify(dl)
+		}
+	}
+}
+
+// waitMembers collects a token at the node leader from every other
+// member of the node.
+func (r *Rank) waitMembers(lead int) {
+	for dl := 0; dl < r.cluster.PPN; dl++ {
+		if dl != lead {
+			r.WaitNotify(dl)
+		}
+	}
+}
+
 func (h *hier) bcastShared(r *Rank, a Args) {
 	lead := h.leaderLocal(r.Node, a.Root)
 	buf := a.Recv
@@ -570,11 +722,7 @@ func (h *hier) bcastShared(r *Rank, a Args) {
 	}
 	h.phase(r, "h_intra", func() {
 		if r.ID == lead {
-			for dl := 0; dl < h.cl.PPN; dl++ {
-				if dl != lead {
-					r.Notify(dl)
-				}
-			}
+			r.notifyMembers(lead)
 			return
 		}
 		r.WaitNotify(lead)
@@ -583,60 +731,34 @@ func (h *hier) bcastShared(r *Rank, a Args) {
 }
 
 func (h *hier) gatherShared(r *Rank, a Args) {
-	cl := h.cl
 	lead := h.leaderLocal(r.Node, a.Root)
-	nodeBytes := int64(cl.PPN) * a.Count
-	var stage kernel.Addr
-	if r.ID == lead {
-		if r.Node == cl.NodeOf(a.Root) {
-			stage = a.Recv + kernel.Addr(int64(r.Node)*nodeBytes)
-		} else {
-			stage = r.Alloc(nodeBytes)
-		}
-	}
+	stage := h.nodeStage(r, lead, a.Root, a.Recv, a.Count)
 	addr := kernel.Addr(r.Bcast64(lead, int64(stage)))
 	h.phase(r, "h_intra", func() {
 		if r.ID == lead {
 			r.LocalCopy(stage+kernel.Addr(int64(lead)*a.Count), a.Send, a.Count)
-			for dl := 0; dl < cl.PPN; dl++ {
-				if dl != lead {
-					r.WaitNotify(dl)
-				}
-			}
+			r.waitMembers(lead)
 			return
 		}
 		r.VMWrite(a.Send, lead, addr+kernel.Addr(int64(r.ID)*a.Count), a.Count)
 		r.Notify(lead)
 	})
 	if r.ID == lead {
-		h.phase(r, "h_net", func() { h.netGather(r, a.Root, stage, a.Recv, nodeBytes, nodeBytes) })
+		h.phase(r, "h_net", func() { h.netGather(r, a.Root, stage, a.Recv, a.Count, a.Count) })
 	}
 }
 
 func (h *hier) scatterShared(r *Rank, a Args) {
-	cl := h.cl
 	lead := h.leaderLocal(r.Node, a.Root)
-	nodeBytes := int64(cl.PPN) * a.Count
-	var stage kernel.Addr
-	if r.ID == lead {
-		if r.Node == cl.NodeOf(a.Root) {
-			stage = a.Send + kernel.Addr(int64(r.Node)*nodeBytes)
-		} else {
-			stage = r.Alloc(nodeBytes)
-		}
-	}
+	stage := h.nodeStage(r, lead, a.Root, a.Send, a.Count)
 	addr := kernel.Addr(r.Bcast64(lead, int64(stage)))
 	if r.ID == lead {
-		h.phase(r, "h_net", func() { h.netScatter(r, a.Root, stage, a.Send, nodeBytes) })
+		h.phase(r, "h_net", func() { h.netScatter(r, a.Root, stage, a.Send, a.Count) })
 	}
 	h.phase(r, "h_intra", func() {
 		if r.ID == lead {
 			r.LocalCopy(a.Recv, stage+kernel.Addr(int64(lead)*a.Count), a.Count)
-			for dl := 0; dl < cl.PPN; dl++ {
-				if dl != lead {
-					r.Notify(dl)
-				}
-			}
+			r.notifyMembers(lead)
 			return
 		}
 		r.WaitNotify(lead)
@@ -653,11 +775,7 @@ func (h *hier) allgatherShared(r *Rank, a Args) {
 	h.phase(r, "h_intra", func() {
 		if r.ID == lead {
 			r.LocalCopy(a.Recv+kernel.Addr(int64(r.World)*a.Count), a.Send, a.Count)
-			for dl := 0; dl < cl.PPN; dl++ {
-				if dl != lead {
-					r.WaitNotify(dl)
-				}
-			}
+			r.waitMembers(lead)
 			return
 		}
 		r.VMWrite(a.Send, lead, addr+kernel.Addr(int64(r.World)*a.Count), a.Count)
@@ -668,11 +786,7 @@ func (h *hier) allgatherShared(r *Rank, a Args) {
 	}
 	h.phase(r, "h_intra", func() {
 		if r.ID == lead {
-			for dl := 0; dl < cl.PPN; dl++ {
-				if dl != lead {
-					r.Notify(dl)
-				}
-			}
+			r.notifyMembers(lead)
 			return
 		}
 		r.WaitNotify(lead)
@@ -694,11 +808,7 @@ func (h *hier) alltoallShared(r *Rank, a Args) {
 	h.phase(r, "h_intra", func() {
 		if r.ID == lead {
 			r.LocalCopy(stage+kernel.Addr(int64(lead)*vec), a.Send, vec)
-			for dl := 0; dl < cl.PPN; dl++ {
-				if dl != lead {
-					r.WaitNotify(dl)
-				}
-			}
+			r.waitMembers(lead)
 			return
 		}
 		r.VMWrite(a.Send, lead, stageAddr+kernel.Addr(int64(r.ID)*vec), vec)
@@ -710,11 +820,7 @@ func (h *hier) alltoallShared(r *Rank, a Args) {
 	h.phase(r, "h_intra", func() {
 		if r.ID == lead {
 			r.LocalCopy(a.Recv, mstage+kernel.Addr(int64(lead)*vec), vec)
-			for dl := 0; dl < cl.PPN; dl++ {
-				if dl != lead {
-					r.Notify(dl)
-				}
-			}
+			r.notifyMembers(lead)
 			return
 		}
 		r.WaitNotify(lead)
@@ -813,28 +919,15 @@ func (h *hier) xSendrecv(r *Rank, dst int, sa kernel.Addr, sn int64, src int, ra
 
 func (h *hier) flatBcast(r *Rank, a Args) {
 	w := h.cl.WorldSize()
-	me := r.World
-	rel := (me - a.Root + w) % w
+	rel := (r.World - a.Root + w) % w
 	abs := func(rel int) int { return (rel + a.Root) % w }
 	buf := a.Recv
 	if rel == 0 {
 		buf = a.Send
 	}
-	if rel != 0 {
-		h.xRecv(r, abs(rel-lowbit(rel)), buf, a.Count)
-	}
-	top := lowbit(rel)
-	if rel == 0 {
-		top = 1
-		for top < w {
-			top <<= 1
-		}
-	}
-	for mask := top >> 1; mask >= 1; mask >>= 1 {
-		if child := rel + mask; child < w {
-			h.xSend(r, abs(child), buf, a.Count)
-		}
-	}
+	binomialBcast(w, rel,
+		func(pos int) { h.xRecv(r, abs(pos), buf, a.Count) },
+		func(pos int) { h.xSend(r, abs(pos), buf, a.Count) })
 }
 
 func (h *hier) flatGather(r *Rank, a Args) {
@@ -867,29 +960,18 @@ func (h *hier) flatScatter(r *Rank, a Args) {
 
 func (h *hier) flatAllgather(r *Rank, a Args) {
 	w := h.cl.WorldSize()
-	me := r.World
 	if w == 1 {
 		r.LocalCopy(a.Recv, a.Send, a.Count)
 		return
 	}
-	work := r.Alloc(int64(w) * a.Count)
-	r.LocalCopy(work, a.Send, a.Count)
-	for filled := 1; filled < w; {
-		cnt := filled
-		if w-filled < cnt {
-			cnt = w - filled
-		}
-		sz := int64(cnt) * a.Count
-		h.xSendrecv(r, (me-filled+w)%w, work, sz,
-			(me+filled)%w, work+kernel.Addr(int64(filled)*a.Count), sz)
-		filled += cnt
-	}
-	r.packCost(int64(w) * a.Count)
-	if h.cl.CopyData {
-		for i := 0; i < w; i++ {
-			r.movePayload(a.Recv+kernel.Addr(int64((me+i)%w)*a.Count),
-				work+kernel.Addr(int64(i)*a.Count), a.Count)
-		}
+	r.bruckAllgather(w, r.World, a.Count, a.Send, a.Recv, h.flatExchange(r))
+}
+
+// flatExchange is the flat designs' world-rank exchange over mixed
+// edges.
+func (h *hier) flatExchange(r *Rank) exchange {
+	return func(dst int, sa kernel.Addr, sn int64, src int, ra kernel.Addr, rn int64) {
+		h.xSendrecv(r, dst, sa, sn, src, ra, rn)
 	}
 }
 
@@ -901,8 +983,6 @@ func (h *hier) flatAlltoall(r *Rank, a Args) {
 		return
 	}
 	work := r.Alloc(int64(w) * a.Count)
-	stageOut := r.Alloc(int64((w+1)/2) * a.Count)
-	stageIn := r.Alloc(int64((w+1)/2) * a.Count)
 	// Rotation: work[j] = Send[(j+me) mod w].
 	r.packCost(int64(w) * a.Count)
 	if h.cl.CopyData {
@@ -911,31 +991,7 @@ func (h *hier) flatAlltoall(r *Rank, a Args) {
 				a.Send+kernel.Addr(int64((j+me)%w)*a.Count), a.Count)
 		}
 	}
-	for pow := 1; pow < w; pow <<= 1 {
-		nsel := selCount(w, pow)
-		r.packCost(nsel * a.Count)
-		if h.cl.CopyData {
-			u := int64(0)
-			for j := 0; j < w; j++ {
-				if j&pow != 0 {
-					r.movePayload(stageOut+kernel.Addr(u*a.Count), work+kernel.Addr(int64(j)*a.Count), a.Count)
-					u++
-				}
-			}
-		}
-		h.xSendrecv(r, (me+pow)%w, stageOut, nsel*a.Count,
-			(me-pow+w)%w, stageIn, nsel*a.Count)
-		r.packCost(nsel * a.Count)
-		if h.cl.CopyData {
-			u := int64(0)
-			for j := 0; j < w; j++ {
-				if j&pow != 0 {
-					r.movePayload(work+kernel.Addr(int64(j)*a.Count), stageIn+kernel.Addr(u*a.Count), a.Count)
-					u++
-				}
-			}
-		}
-	}
+	r.bruckSteps(w, me, a.Count, work, h.flatExchange(r))
 	// Inverse rotation with reversal: Recv[j] = work[(me-j+w) mod w].
 	r.packCost(int64(w) * a.Count)
 	if h.cl.CopyData {
@@ -956,20 +1012,7 @@ func (h *hier) flatReduce(r *Rank, a Args) {
 		acc = r.Alloc(a.Count)
 	}
 	r.LocalCopy(acc, a.Send, a.Count)
-	var scratch kernel.Addr
-	haveScratch := false
-	for mask := 1; mask < w; mask <<= 1 {
-		if rel&mask != 0 {
-			h.xSend(r, abs(rel-mask), acc, a.Count)
-			return
-		}
-		if peer := rel + mask; peer < w {
-			if !haveScratch {
-				scratch = r.Alloc(a.Count)
-				haveScratch = true
-			}
-			h.xRecv(r, abs(peer), scratch, a.Count)
-			r.OS.Combine(r.SP, acc, scratch, a.Count)
-		}
-	}
+	binomialReduce(r, w, rel, acc, a.Count,
+		func(pos int, buf kernel.Addr) { h.xRecv(r, abs(pos), buf, a.Count) },
+		func(pos int, buf kernel.Addr) { h.xSend(r, abs(pos), buf, a.Count) })
 }

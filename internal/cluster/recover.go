@@ -10,16 +10,21 @@ import (
 	"camc/internal/trace"
 )
 
-// Shrunk is the world-level survivor table every survivor derives (and
-// agrees on, because it is a pure function of the agreed failed set)
-// after a world shrink. Original world ranks remain the liveness board
-// slots and fabric addresses forever — the NEW node-major numbering
-// exists only for payload layout and re-planning.
+// Shrunk is the node map the leader designs read. After a world shrink
+// it is the survivor table every survivor derives (and agrees on,
+// because it is a pure function of the agreed failed set); Lookup
+// builds the same table with no failures, which is the identity
+// (Prefix[n] = n·PPN, OldWorld[w] = w, every node alive). Original
+// world ranks remain the liveness board slots and fabric addresses
+// forever — the NEW node-major numbering exists only for payload layout
+// and re-planning.
 type Shrunk struct {
-	// Failed is the agreed dead set, original world numbering, sorted.
+	// Failed is the agreed dead set, original world numbering, sorted;
+	// empty on a full cluster's table.
 	Failed []int
-	// World is the original world size, NewSize the survivor count.
-	World, NewSize int
+	// World is the original world size, NewSize the survivor count, PPN
+	// the cluster's ranks per node.
+	World, NewSize, PPN int
 	// NewRoot is the re-run root in new numbering: the original root's
 	// new id if it survived, otherwise new id 0 (the lowest-world-rank
 	// survivor — the same deterministic successor rule used for leader
@@ -50,14 +55,7 @@ type Shrunk struct {
 func (sh *Shrunk) SurvivorsOn(n int) int { return sh.Prefix[n+1] - sh.Prefix[n] }
 
 // NodeOfNew maps a new world id to its original node.
-func (sh *Shrunk) NodeOfNew(id int) int {
-	for n := 0; n+1 < len(sh.Prefix); n++ {
-		if id < sh.Prefix[n+1] {
-			return n
-		}
-	}
-	panic(fmt.Sprintf("cluster: new id %d out of range", id))
-}
+func (sh *Shrunk) NodeOfNew(id int) int { return sh.OldWorld[id] / sh.PPN }
 
 // rootedKind reports whether kind uses its Root argument (the
 // non-rooted kinds lead every node from local rank 0).
@@ -83,13 +81,16 @@ func buildShrunkTable(cl *Cluster, failed []int, kind core.Kind, origRoot int) *
 		dead[f] = true
 	}
 	sh := &Shrunk{
-		Failed:   append([]int(nil), failed...),
-		World:    world,
-		NewWorld: make([]int, world),
-		Prefix:   make([]int, cl.NumNodes+1),
-		NodeIdx:  make([]int, cl.NumNodes),
-		Leaders:  make([]int, cl.NumNodes),
-		Orphaned: make([]bool, cl.NumNodes),
+		Failed:     append([]int(nil), failed...),
+		World:      world,
+		PPN:        cl.PPN,
+		OldWorld:   make([]int, 0, world-len(failed)),
+		NewWorld:   make([]int, world),
+		AliveNodes: make([]int, 0, cl.NumNodes),
+		Prefix:     make([]int, cl.NumNodes+1),
+		NodeIdx:    make([]int, cl.NumNodes),
+		Leaders:    make([]int, cl.NumNodes),
+		Orphaned:   make([]bool, cl.NumNodes),
 	}
 	id := 0
 	for n := 0; n < cl.NumNodes; n++ {
@@ -332,383 +333,111 @@ func (cl *Cluster) checkCred(r *Rank, addr kernel.Addr, want int) {
 }
 
 // ---------------------------------------------------------------------
-// Survivor re-run: the collective replayed over the shrunken world.
+// Survivor re-run: the leader design over the shrunken world.
 // ---------------------------------------------------------------------
 
 // Rerun executes kind over the survivor world. Whatever design the
-// aborted attempt used, the re-run is always the two-level leader
-// decomposition over the survivor table — the re-elected leaders are
-// exactly what the recovery just paid to establish, and the leader
-// design is the only one whose node phase re-plans cleanly for any
-// survivor count (non-power-of-two counts at both granularities,
-// including whole-node loss). Buffers follow the NEW node-major
-// numbering: new rank j's block sits at offset j*Count, and a.Root is a
-// new world id. Each node's intra phase is re-planned via core.Replan
-// at its own survivor count; the node tier re-plans structurally over
-// the alive-node list.
+// aborted attempt used, the re-run is the leader design (the same
+// implementation Lookup resolves) run over the survivor table — the
+// re-elected leaders are exactly what the recovery just paid to
+// establish, and the leader design is the only one whose node phase
+// re-plans cleanly for any survivor count (non-power-of-two counts at
+// both granularities, including whole-node loss). Buffers follow the
+// NEW node-major numbering: new rank j's block sits at offset j*Count,
+// and a.Root is a new world id. Each node's intra phase is re-planned
+// via core.Replan at its own survivor count (a lone survivor copies
+// locally); the node tier runs over the alive-node list, with
+// allgather and alltoall taking the direct leader exchange.
 func Rerun(r *Rank, sh *Shrunk, kind core.Kind, intraSpec string, a Args) {
-	if intraSpec == "" {
-		intraSpec = "tuned"
-	}
-	x := &rerunner{cl: r.cluster, sh: sh, spec: intraSpec, kind: kind}
-	rec := r.Tracer()
-	span := trace.NoSpan
-	if rec != nil {
-		span = rec.Begin(r.Lane(), trace.CatColl, "hcoll:"+string(kind)+":rerun",
-			trace.F("bytes", float64(a.Count)), trace.F("root", float64(a.Root)))
-	}
-	switch kind {
-	case core.KindBcast:
-		x.bcast(r, a)
-	case core.KindGather:
-		x.gather(r, a)
-	case core.KindScatter:
-		x.scatter(r, a)
-	case core.KindAllgather:
-		x.allgather(r, a)
-	case core.KindAlltoall:
-		x.alltoall(r, a)
-	case core.KindReduce:
-		x.reduce(r, a)
-	default:
+	run, ok := impls[implKey{kind, DesignLeader}]
+	if !ok {
 		panic(fmt.Sprintf("cluster: no re-run for kind %s", kind))
 	}
-	if rec != nil {
-		rec.End(span)
-	}
-}
-
-// rerunner carries the survivor table through one re-run.
-type rerunner struct {
-	cl   *Cluster
-	sh   *Shrunk
-	spec string
-	kind core.Kind
-}
-
-// phase mirrors hier.phase: every stage (including the degenerate
-// single-survivor fixups) gets its h_intra/h_net span so the stage
-// ordering invariants see the re-run like any other collective.
-func (x *rerunner) phase(r *Rank, name string, f func()) {
-	rec := r.Tracer()
-	if rec == nil {
-		f()
-		return
-	}
-	span := rec.Begin(r.Lane(), trace.CatColl, name)
-	f()
-	rec.End(span)
-}
-
-// intra re-plans the same-kind intra-node algorithm for kn survivors.
-func (x *rerunner) intra(kn int) core.Algorithm {
-	al, err := core.Replan(x.kind, x.spec, kn)
+	h, err := newHier(r.cluster, sh, kind, intraSpec)
 	if err != nil {
-		panic(fmt.Sprintf("cluster: replan %s/%s for %d survivors: %v", x.kind, x.spec, kn, err))
+		panic(fmt.Sprintf("cluster: re-run %s/%s: %v", kind, intraSpec, err))
 	}
-	return al
+	Coll{Kind: kind, Design: designRerun, h: h, run: run}.Run(r, a)
 }
 
-// leadLocal is the re-run leader's new-local rank on a node: the root
-// leads its own node (rooted kinds), the re-elected successor (new
-// local 0) everywhere else. rootNew < 0 means non-rooted.
-func (x *rerunner) leadLocal(node, rootNew int) int {
-	if rootNew >= 0 && x.sh.NodeOfNew(rootNew) == node {
-		return rootNew - x.sh.Prefix[node]
-	}
-	return 0
-}
-
-// leaderW is the original world rank of a node's re-run leader.
-func (x *rerunner) leaderW(node, rootNew int) int {
-	return x.sh.OldWorld[x.sh.Prefix[node]+x.leadLocal(node, rootNew)]
-}
-
-// netBcast is the binomial broadcast over alive-node list positions.
-func (x *rerunner) netBcast(r *Rank, rootNew int, buf kernel.Addr, size int64) {
-	sh := x.sh
-	a := len(sh.AliveNodes)
-	if a == 1 {
-		return
-	}
-	rootIdx := sh.NodeIdx[sh.NodeOfNew(rootNew)]
-	rel := (sh.NodeIdx[r.Node] - rootIdx + a) % a
-	abs := func(rel int) int { return sh.AliveNodes[(rel+rootIdx)%a] }
-	if rel != 0 {
-		r.NetRecv(x.leaderW(abs(rel-lowbit(rel)), rootNew), buf, size)
-	}
-	top := lowbit(rel)
-	if rel == 0 {
-		top = 1
-		for top < a {
-			top <<= 1
+// directAllgather is the leaders' net phase of allgather over a
+// survivor table with failures: every leader sends its node block to
+// every other leader (fabric sends are buffered, so all sends go
+// first), then receives in ascending node order.
+func (h *hier) directAllgather(r *Rank, recv kernel.Addr, count int64) {
+	sh := h.sh
+	nodeBlock := recv + kernel.Addr(int64(sh.Prefix[r.Node])*count)
+	nodeBytes := int64(sh.SurvivorsOn(r.Node)) * count
+	for _, n := range sh.AliveNodes {
+		if n != r.Node {
+			r.NetSend(sh.Leaders[n], nodeBlock, nodeBytes)
 		}
 	}
-	for mask := top >> 1; mask >= 1; mask >>= 1 {
-		if child := rel + mask; child < a {
-			r.NetSend(x.leaderW(abs(child), rootNew), buf, size)
+	for _, n := range sh.AliveNodes {
+		if n == r.Node {
+			continue
 		}
+		r.NetRecv(sh.Leaders[n],
+			recv+kernel.Addr(int64(sh.Prefix[n])*count),
+			int64(sh.SurvivorsOn(n))*count)
 	}
 }
 
-// netReduce is the binomial reverse over alive-node list positions.
-func (x *rerunner) netReduce(r *Rank, rootNew int, acc kernel.Addr, size int64) {
-	sh := x.sh
-	a := len(sh.AliveNodes)
-	if a == 1 {
-		return
-	}
-	rootIdx := sh.NodeIdx[sh.NodeOfNew(rootNew)]
-	rel := (sh.NodeIdx[r.Node] - rootIdx + a) % a
-	abs := func(rel int) int { return sh.AliveNodes[(rel+rootIdx)%a] }
-	var scratch kernel.Addr
-	haveScratch := false
-	for mask := 1; mask < a; mask <<= 1 {
-		if rel&mask != 0 {
-			r.NetSend(x.leaderW(abs(rel-mask), rootNew), acc, size)
-			return
-		}
-		if peer := rel + mask; peer < a {
-			if !haveScratch {
-				scratch = r.Alloc(size)
-				haveScratch = true
-			}
-			r.NetRecv(x.leaderW(abs(peer), rootNew), scratch, size)
-			r.OS.Combine(r.SP, acc, scratch, size)
-		}
-	}
-}
-
-func (x *rerunner) bcast(r *Rank, a Args) {
-	sh := x.sh
-	kn := sh.SurvivorsOn(r.Node)
-	lead := x.leadLocal(r.Node, a.Root)
-	buf := a.Recv
-	if sh.Prefix[r.Node]+r.ID == a.Root {
-		buf = a.Send
-	}
-	if r.ID == lead {
-		x.phase(r, "h_net", func() { x.netBcast(r, a.Root, buf, a.Count) })
-	}
-	x.phase(r, "h_intra", func() {
-		if kn > 1 {
-			x.intra(kn).Run(r.Rank, core.Args{Send: buf, Recv: a.Recv, Count: a.Count, Root: lead})
-		}
-	})
-}
-
-func (x *rerunner) gather(r *Rank, a Args) {
-	sh := x.sh
-	kn := sh.SurvivorsOn(r.Node)
-	lead := x.leadLocal(r.Node, a.Root)
-	rootNode := sh.NodeOfNew(a.Root)
-	nodeBytes := int64(kn) * a.Count
-	stage := a.Recv // non-leaders: unused by the intra root
-	if r.ID == lead {
-		if r.Node == rootNode {
-			stage = a.Recv + kernel.Addr(int64(sh.Prefix[r.Node])*a.Count)
-		} else {
-			stage = r.Alloc(nodeBytes)
-		}
-	}
-	x.phase(r, "h_intra", func() {
-		if kn > 1 {
-			x.intra(kn).Run(r.Rank, core.Args{Send: a.Send, Recv: stage, Count: a.Count, Root: lead})
-		} else {
-			r.LocalCopy(stage, a.Send, a.Count)
-		}
-	})
-	if r.ID == lead {
-		x.phase(r, "h_net", func() {
-			if r.Node != rootNode {
-				r.NetSend(sh.OldWorld[a.Root], stage, nodeBytes)
-				return
-			}
-			for _, n := range sh.AliveNodes {
-				if n == r.Node {
-					continue
-				}
-				r.NetRecv(x.leaderW(n, a.Root),
-					a.Recv+kernel.Addr(int64(sh.Prefix[n])*a.Count),
-					int64(sh.SurvivorsOn(n))*a.Count)
-			}
-		})
-	}
-}
-
-func (x *rerunner) scatter(r *Rank, a Args) {
-	sh := x.sh
-	kn := sh.SurvivorsOn(r.Node)
-	lead := x.leadLocal(r.Node, a.Root)
-	rootNode := sh.NodeOfNew(a.Root)
-	nodeBytes := int64(kn) * a.Count
-	stage := a.Send // non-leaders: unused by the intra root
-	if r.ID == lead {
-		if r.Node == rootNode {
-			stage = a.Send + kernel.Addr(int64(sh.Prefix[r.Node])*a.Count)
-		} else {
-			stage = r.Alloc(nodeBytes)
-		}
-	}
-	if r.ID == lead {
-		x.phase(r, "h_net", func() {
-			if r.Node != rootNode {
-				r.NetRecv(sh.OldWorld[a.Root], stage, nodeBytes)
-				return
-			}
-			for _, n := range sh.AliveNodes {
-				if n == r.Node {
-					continue
-				}
-				r.NetSend(x.leaderW(n, a.Root),
-					a.Send+kernel.Addr(int64(sh.Prefix[n])*a.Count),
-					int64(sh.SurvivorsOn(n))*a.Count)
-			}
-		})
-	}
-	x.phase(r, "h_intra", func() {
-		if kn > 1 {
-			x.intra(kn).Run(r.Rank, core.Args{Send: stage, Recv: a.Recv, Count: a.Count, Root: lead})
-		} else {
-			r.LocalCopy(a.Recv, stage, a.Count)
-		}
-	})
-}
-
-func (x *rerunner) allgather(r *Rank, a Args) {
-	sh := x.sh
+// directAlltoall is the leaders' net phase of alltoall over a survivor
+// table with failures. stage holds the node's member send vectors
+// member-major (each NewSize*count bytes); the result lands in mstage
+// as the members' receive vectors.
+func (h *hier) directAlltoall(r *Rank, stage, mstage kernel.Addr, count int64) {
+	sh := h.sh
+	cl := h.cl
 	kn := sh.SurvivorsOn(r.Node)
 	base := sh.Prefix[r.Node]
-	nodeBytes := int64(kn) * a.Count
-	full := int64(sh.NewSize) * a.Count
-	nodeBlock := a.Recv + kernel.Addr(int64(base)*a.Count)
-	x.phase(r, "h_intra", func() {
-		if kn > 1 {
-			x.intra(kn).Run(r.Rank, core.Args{Send: a.Send, Recv: nodeBlock, Count: a.Count, Root: 0})
-		} else {
-			r.LocalCopy(nodeBlock, a.Send, a.Count)
+	vec := int64(sh.NewSize) * count
+	// Pack and post one bundle per remote node (source-member major:
+	// member sl's blocks for all of n's members), then receive and
+	// unpack in ascending node order.
+	for _, n := range sh.AliveNodes {
+		if n == r.Node {
+			continue
 		}
-	})
-	if r.ID == 0 {
-		x.phase(r, "h_net", func() {
-			// Direct leader exchange: all sends first (fabric sends are
-			// buffered), then receives in ascending node order.
-			for _, n := range sh.AliveNodes {
-				if n != r.Node {
-					r.NetSend(sh.Leaders[n], nodeBlock, nodeBytes)
-				}
+		km := sh.SurvivorsOn(n)
+		slot := int64(km) * count
+		bundle := r.Alloc(int64(kn) * slot)
+		r.packCost(int64(kn) * slot)
+		if cl.CopyData {
+			for sl := 0; sl < kn; sl++ {
+				r.movePayload(bundle+kernel.Addr(int64(sl)*slot),
+					stage+kernel.Addr(int64(sl)*vec+int64(sh.Prefix[n])*count), slot)
 			}
-			for _, n := range sh.AliveNodes {
-				if n == r.Node {
-					continue
-				}
-				r.NetRecv(sh.Leaders[n],
-					a.Recv+kernel.Addr(int64(sh.Prefix[n])*a.Count),
-					int64(sh.SurvivorsOn(n))*a.Count)
-			}
-		})
+		}
+		r.NetSend(sh.Leaders[n], bundle, int64(kn)*slot)
 	}
-	x.phase(r, "h_intra", func() {
-		if kn > 1 {
-			core.TunedBcast(r.Rank, core.Args{Send: a.Recv, Recv: a.Recv, Count: full, Root: 0})
-		}
-	})
-}
-
-func (x *rerunner) alltoall(r *Rank, a Args) {
-	sh := x.sh
-	cl := x.cl
-	kn := sh.SurvivorsOn(r.Node)
-	base := sh.Prefix[r.Node]
-	vec := int64(sh.NewSize) * a.Count
-	var stage, mstage kernel.Addr
-	if r.ID == 0 {
-		stage = r.Alloc(int64(kn) * vec)
-		mstage = r.Alloc(int64(kn) * vec)
-	}
-	x.phase(r, "h_intra", func() {
-		if kn > 1 {
-			core.TunedGather(r.Rank, core.Args{Send: a.Send, Recv: stage, Count: vec, Root: 0})
-		} else {
-			r.LocalCopy(stage, a.Send, vec)
-		}
-	})
-	if r.ID == 0 {
-		x.phase(r, "h_net", func() {
-			// Pack and post one bundle per remote node (source-member
-			// major: member sl's blocks for all of n's members), then
-			// receive and unpack in ascending node order.
-			for _, n := range sh.AliveNodes {
-				if n == r.Node {
-					continue
-				}
-				km := sh.SurvivorsOn(n)
-				slot := int64(km) * a.Count
-				bundle := r.Alloc(int64(kn) * slot)
-				r.packCost(int64(kn) * slot)
-				if cl.CopyData {
-					for sl := 0; sl < kn; sl++ {
-						r.movePayload(bundle+kernel.Addr(int64(sl)*slot),
-							stage+kernel.Addr(int64(sl)*vec+int64(sh.Prefix[n])*a.Count), slot)
-					}
-				}
-				r.NetSend(sh.Leaders[n], bundle, int64(kn)*slot)
+	// Local transpose of this node's own blocks.
+	r.packCost(int64(kn) * int64(kn) * count)
+	if cl.CopyData {
+		for sl := 0; sl < kn; sl++ {
+			for dl := 0; dl < kn; dl++ {
+				r.movePayload(mstage+kernel.Addr(int64(dl)*vec+int64(base+sl)*count),
+					stage+kernel.Addr(int64(sl)*vec+int64(base+dl)*count), count)
 			}
-			// Local transpose of this node's own blocks.
-			r.packCost(int64(kn) * int64(kn) * a.Count)
-			if cl.CopyData {
-				for sl := 0; sl < kn; sl++ {
-					for dl := 0; dl < kn; dl++ {
-						r.movePayload(mstage+kernel.Addr(int64(dl)*vec+int64(base+sl)*a.Count),
-							stage+kernel.Addr(int64(sl)*vec+int64(base+dl)*a.Count), a.Count)
-					}
+		}
+	}
+	for _, n := range sh.AliveNodes {
+		if n == r.Node {
+			continue
+		}
+		km := sh.SurvivorsOn(n)
+		in := r.Alloc(int64(km) * int64(kn) * count)
+		r.NetRecv(sh.Leaders[n], in, int64(km)*int64(kn)*count)
+		r.packCost(int64(km) * int64(kn) * count)
+		if cl.CopyData {
+			for slm := 0; slm < km; slm++ {
+				for dl := 0; dl < kn; dl++ {
+					r.movePayload(
+						mstage+kernel.Addr(int64(dl)*vec+int64(sh.Prefix[n]+slm)*count),
+						in+kernel.Addr(int64(slm)*int64(kn)*count+int64(dl)*count), count)
 				}
 			}
-			for _, n := range sh.AliveNodes {
-				if n == r.Node {
-					continue
-				}
-				km := sh.SurvivorsOn(n)
-				in := r.Alloc(int64(km) * int64(kn) * a.Count)
-				r.NetRecv(sh.Leaders[n], in, int64(km)*int64(kn)*a.Count)
-				r.packCost(int64(km) * int64(kn) * a.Count)
-				if cl.CopyData {
-					for slm := 0; slm < km; slm++ {
-						for dl := 0; dl < kn; dl++ {
-							r.movePayload(
-								mstage+kernel.Addr(int64(dl)*vec+int64(sh.Prefix[n]+slm)*a.Count),
-								in+kernel.Addr(int64(slm)*int64(kn)*a.Count+int64(dl)*a.Count), a.Count)
-						}
-					}
-				}
-			}
-		})
-	}
-	x.phase(r, "h_intra", func() {
-		if kn > 1 {
-			core.TunedScatter(r.Rank, core.Args{Send: mstage, Recv: a.Recv, Count: vec, Root: 0})
-		} else {
-			r.LocalCopy(a.Recv, mstage, vec)
 		}
-	})
-}
-
-func (x *rerunner) reduce(r *Rank, a Args) {
-	sh := x.sh
-	kn := sh.SurvivorsOn(r.Node)
-	lead := x.leadLocal(r.Node, a.Root)
-	acc := a.Recv
-	if r.ID == lead && sh.Prefix[r.Node]+r.ID != a.Root {
-		acc = r.Alloc(a.Count)
-	}
-	x.phase(r, "h_intra", func() {
-		if kn > 1 {
-			x.intra(kn).Run(r.Rank, core.Args{Send: a.Send, Recv: acc, Count: a.Count, Root: lead})
-		} else {
-			r.LocalCopy(acc, a.Send, a.Count)
-		}
-	})
-	if r.ID == lead {
-		x.phase(r, "h_net", func() { x.netReduce(r, a.Root, acc, a.Count) })
 	}
 }

@@ -73,6 +73,17 @@ func TestShrunkWholeNodeLoss(t *testing.T) {
 	if sh.NodeOfNew(3) != 2 {
 		t.Fatalf("NodeOfNew(3) = %d, want 2", sh.NodeOfNew(3))
 	}
+	// NodeOfNew is the original node of the id's world rank, on this
+	// table and on a ragged one (node sizes 3, 1, 2, 3).
+	cl4 := knlCluster(4, 3)
+	ragged := buildShrunkTable(cl4, []int{4, 5, 8}, core.KindGather, 0)
+	for _, tbl := range []*Shrunk{sh, ragged} {
+		for id, w := range tbl.OldWorld {
+			if got, want := tbl.NodeOfNew(id), cl4.NodeOf(w); got != want {
+				t.Fatalf("failed %v: NodeOfNew(%d) = %d, want NodeOf(%d) = %d", tbl.Failed, id, got, w, want)
+			}
+		}
+	}
 }
 
 // TestShrunkRootHandling: a rooted kind's dead root re-roots to new id
@@ -117,5 +128,27 @@ func TestShrunkDeterministic(t *testing.T) {
 	b := buildShrunkTable(cl, []int{1, 4, 5}, core.KindReduce, 6)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same inputs, different tables:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestShrunkFullTableIsIdentity: with no failures the table Lookup
+// hands the leader designs is the identity, so they address the full
+// cluster exactly as world ranks and node ids do.
+func TestShrunkFullTableIsIdentity(t *testing.T) {
+	cl := knlCluster(5, 3)
+	sh := buildShrunkTable(cl, nil, core.KindBcast, 7)
+	if len(sh.Failed) != 0 || sh.NewSize != 15 || sh.NewRoot != 7 {
+		t.Fatalf("Failed=%v NewSize=%d NewRoot=%d, want none, 15, 7", sh.Failed, sh.NewSize, sh.NewRoot)
+	}
+	for n := 0; n < cl.NumNodes; n++ {
+		if sh.Prefix[n] != n*cl.PPN || sh.SurvivorsOn(n) != cl.PPN || sh.AliveNodes[n] != n || sh.NodeIdx[n] != n {
+			t.Fatalf("node %d: Prefix=%d SurvivorsOn=%d AliveNodes=%d NodeIdx=%d", n,
+				sh.Prefix[n], sh.SurvivorsOn(n), sh.AliveNodes[n], sh.NodeIdx[n])
+		}
+	}
+	for w := 0; w < cl.WorldSize(); w++ {
+		if sh.OldWorld[w] != w || sh.NewWorld[w] != w || sh.NodeOfNew(w) != cl.NodeOf(w) {
+			t.Fatalf("world %d: OldWorld=%d NewWorld=%d NodeOfNew=%d", w, sh.OldWorld[w], sh.NewWorld[w], sh.NodeOfNew(w))
+		}
 	}
 }
