@@ -13,6 +13,12 @@
 //	camc-bench -run x9 -faults kill=0.4,killop=4,seed=11
 //	camc-bench -run all
 //	camc-bench -all
+//	camc-bench -run x11 -quick -cpuprofile cpu.out -memprofile mem.out
+//
+// -cpuprofile and -memprofile write pprof profiles of the whole
+// invocation (read them with go tool pprof): the CPU profile runs from
+// flag parsing to exit, and the heap profile is taken at exit, after a
+// garbage collection.
 package main
 
 import (
@@ -20,6 +26,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"camc/internal/arch"
@@ -37,7 +45,7 @@ func main() {
 // run is the testable entry point: it parses args, runs the selected
 // experiments to stdout, and returns the process exit code (0 success,
 // 2 usage error, 1 runtime failure).
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("camc-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -54,9 +62,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		repro    = fs.String("repro", "", "replay one camc-fuzz reproducer spec line and report its verdict instead of running experiments")
 		storeF   = fs.String("store", "", "append every experiment cell to the results store at this directory (created if absent; query with camc-report)")
 		storeRun = fs.String("store-run", "", "append cells under this existing run id instead of recording a fresh run (needs -store; ids come from camc-report begin)")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
+		memProf  = fs.String("memprofile", "", "write a pprof heap profile, taken at exit, to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fmt.Fprintf(stderr, "-cpuprofile: %v\n", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintf(stderr, "-cpuprofile: %v\n", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(stderr, "-cpuprofile: %v\n", err)
+				code = 1
+			}
+		}()
+	}
+	if *memProf != "" {
+		f, err := os.Create(*memProf)
+		if err != nil {
+			fmt.Fprintf(stderr, "-memprofile: %v\n", err)
+			return 1
+		}
+		defer func() {
+			runtime.GC()
+			err := pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintf(stderr, "-memprofile: %v\n", err)
+				code = 1
+			}
+		}()
 	}
 
 	if *repro != "" {

@@ -20,15 +20,18 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"camc/internal/arch"
@@ -93,7 +96,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *serve {
-		return serveMain(*addr, *retune, tuner.ServiceConfig{Jobs: *jobs, ProbeSizes: sizes}, stdout, stderr)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		return serveMain(ctx, *addr, *retune, tuner.ServiceConfig{Jobs: *jobs, ProbeSizes: sizes}, stdout, stderr)
 	}
 
 	var st *store.Store
@@ -208,10 +213,30 @@ func sizeLabel(s int64) string {
 	}
 }
 
-// serveMain runs the tuning service until the process is killed. The
-// listener is bound before the "listening" line prints, so a caller
-// (the CI smoke job) can wait for that line and then query.
-func serveMain(addr string, retune time.Duration, cfg tuner.ServiceConfig, stdout, stderr io.Writer) int {
+// shutdownGrace bounds how long a stopping service waits for in-flight
+// requests to finish.
+const shutdownGrace = 30 * time.Second
+
+// newServer wraps the service handler in an http.Server whose every
+// phase is bounded, so a slow or stalled client cannot hold a
+// connection open forever. The write timeout covers a cold /plan, which
+// runs a whole Autotune before it answers.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       10 * time.Second,
+		WriteTimeout:      5 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
+// serveMain runs the tuning service until ctx is cancelled (SIGINT or
+// SIGTERM from run), then stops accepting and drains in-flight requests
+// for up to shutdownGrace. The listener is bound before the "listening"
+// line prints, so a caller (the CI smoke job) can wait for that line and
+// then query.
+func serveMain(ctx context.Context, addr string, retune time.Duration, cfg tuner.ServiceConfig, stdout, stderr io.Writer) int {
 	svc := tuner.NewService(cfg)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -219,16 +244,35 @@ func serveMain(addr string, retune time.Duration, cfg tuner.ServiceConfig, stdou
 		return 1
 	}
 	if retune > 0 {
+		tick := time.NewTicker(retune)
+		defer tick.Stop()
 		go func() {
-			for range time.Tick(retune) {
-				if n := svc.Retune(); n > 0 {
-					fmt.Fprintf(stderr, "retune: rebuilt %d drifted tables\n", n)
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-tick.C:
+					if n := svc.Retune(); n > 0 {
+						fmt.Fprintf(stderr, "retune: rebuilt %d drifted tables\n", n)
+					}
 				}
 			}
 		}()
 	}
+	srv := newServer(svc.Handler())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 	fmt.Fprintf(stdout, "tuning service listening on http://%s (GET /plan?arch=..&kind=..&size=..[&procs=..][&ambient=..], /stats, /healthz)\n", ln.Addr())
-	if err := http.Serve(ln, svc.Handler()); err != nil {
+	select {
+	case err := <-served:
+		fmt.Fprintln(stderr, err)
+		return 1
+	case <-ctx.Done():
+	}
+	fmt.Fprintln(stderr, "tuning service: shutting down, draining in-flight requests")
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}

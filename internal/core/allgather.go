@@ -103,61 +103,43 @@ func AllgatherRingSourceWrite(r *mpi.Rank, a Args) {
 	r.Barrier()
 }
 
-// rdHave computes, offline, the set of blocks every rank holds after
-// each recursive-doubling step (used to drive the reads and to size
-// them). steps[k][rank] is the sorted block list rank holds after step
-// k; steps[0] is the initial single-own-block state.
-func rdHave(p int) [][][]int {
-	nsteps := ceilLog(2, p)
-	cur := make([][]int, p)
-	for r := range cur {
-		cur[r] = []int{r}
-	}
-	out := [][][]int{clone2(cur)}
-	for k := 0; k < nsteps; k++ {
-		next := make([][]int, p)
-		for r := 0; r < p; r++ {
-			partner := r ^ (1 << k)
-			if partner < p {
-				next[r] = mergeSorted(cur[r], cur[partner])
-			} else {
-				next[r] = cur[r]
-			}
-		}
-		cur = next
-		out = append(out, clone2(cur))
-	}
-	return out
+// rdRow appends to dst[:0] the sorted blocks rank r holds after k
+// recursive-doubling steps among p ranks and returns it. A rank reads
+// only its own rows and its partners', so no rank builds the table of
+// every rank.
+//
+// Step j pairs each rank x with x^(1<<j) when that partner exists, so
+// block b can reach r only inside r's aligned 2^k-rank group, along the
+// one path that sets the bits where they differ to r's, lowest first.
+// At a differing bit j the block passes from h (r's bits below j, b's
+// bits from j up) to h^(1<<j), and both must exist: h|(1<<j) < p. That
+// test depends only on b's bits from j up, so rdRow fixes b's bits from
+// the top down, prunes a prefix as soon as a hand-off is missing, and
+// emits a whole aligned range at once when every rank in it exists.
+func rdRow(dst []int, p, k, r int) []int {
+	return rdBlocks(dst[:0], p, r, r>>k<<k, k)
 }
 
-func clone2(v [][]int) [][]int {
-	o := make([][]int, len(v))
-	for i := range v {
-		o[i] = append([]int(nil), v[i]...)
-	}
-	return o
-}
-
-func mergeSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+// rdBlocks appends, in increasing order, the blocks rank r holds whose
+// bits from j up are those of prefix. It is entered only where the rank
+// with prefix's bits from j up and r's bits below j exists, so prefix
+// < p when j reaches 0.
+func rdBlocks(dst []int, p, r, prefix, j int) []int {
+	if end := prefix + 1<<j; end <= p {
+		// Every rank under this prefix exists, so every hand-off does.
+		for b := prefix; b < end; b++ {
+			dst = append(dst, b)
 		}
+		return dst
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	bit := 1 << (j - 1)
+	for _, b := range [2]int{prefix, prefix | bit} {
+		if (b^r)&bit != 0 && b|bit|r&(bit-1) >= p {
+			continue
+		}
+		dst = rdBlocks(dst, p, r, b, j-1)
+	}
+	return dst
 }
 
 // diffSorted returns the elements of b not present in a (both sorted).
@@ -217,7 +199,7 @@ func AllgatherRecursiveDoubling(r *mpi.Rank, a Args) {
 	recvAddrs := r.Allgather64(int64(a.Recv))
 	ownAddrs := r.Allgather64(int64(srcOwn))
 
-	have := rdHave(p)
+	var mine, theirs []int
 	nsteps := ceilLog(2, p)
 	for k := 0; k < nsteps; k++ {
 		partner := me ^ (1 << k)
@@ -229,7 +211,8 @@ func AllgatherRecursiveDoubling(r *mpi.Rank, a Args) {
 		r.WaitNotify(partner)
 		collStep(r, k, partner)
 		// Read the blocks the partner has (after step k) that we lack.
-		want := diffSorted(have[k][me], have[k][partner])
+		mine, theirs = rdRow(mine, p, k, me), rdRow(theirs, p, k, partner)
+		want := diffSorted(mine, theirs)
 		for _, run := range contiguousRuns(want) {
 			r.VMRead(a.Recv+kernel.Addr(int64(run[0])*a.Count), partner,
 				kernel.Addr(recvAddrs[partner])+kernel.Addr(int64(run[0])*a.Count),
@@ -237,19 +220,15 @@ func AllgatherRecursiveDoubling(r *mpi.Rank, a Args) {
 		}
 	}
 	// Patch any holes by reading directly from each owner's send buffer.
-	missing := diffSorted(have[nsteps][me], allBlocks(p))
-	for _, blk := range missing {
+	held := rdRow(mine, p, nsteps, me)
+	for blk := 0; blk < p; blk++ {
+		if len(held) > 0 && held[0] == blk {
+			held = held[1:]
+			continue
+		}
 		r.VMRead(a.Recv+kernel.Addr(int64(blk)*a.Count), blk, kernel.Addr(ownAddrs[blk]), a.Count)
 	}
 	r.Barrier()
-}
-
-func allBlocks(p int) []int {
-	out := make([]int, p)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // AllgatherBruck (§V-A.4): step k reads 2^k (or the remaining) leading

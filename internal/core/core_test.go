@@ -346,30 +346,6 @@ func TestKnomialBinomialDepth(t *testing.T) {
 	}
 }
 
-func TestRDHaveCoversAll(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8, 12, 28, 31, 32} {
-		have := rdHave(p)
-		final := have[len(have)-1]
-		for r := 0; r < p; r++ {
-			missing := diffSorted(final[r], allBlocks(p))
-			if isPow2(p) && len(missing) != 0 {
-				t.Fatalf("p=%d (pow2): rank %d missing %v", p, r, missing)
-			}
-			// Non-power-of-two ranks may miss blocks (patched later),
-			// but each rank must at least hold its own block.
-			found := false
-			for _, b := range final[r] {
-				if b == r {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("p=%d: rank %d lost its own block", p, r)
-			}
-		}
-	}
-}
-
 func TestContiguousRuns(t *testing.T) {
 	tests := []struct {
 		in   []int

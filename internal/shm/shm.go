@@ -42,15 +42,19 @@ type message struct {
 	last    bool    // final cell of a data message
 }
 
-// denseQueueLimit is the rank count up to which the per-pair queues are
-// pre-allocated as a dense nranks² slice. Above it the queues are
-// created lazily in a map: collectives at scale use O(nranks·log nranks)
-// of the nranks² possible pairs, and a dense 64k-rank table would cost
-// tens of gigabytes before the first message moves.
+// denseQueueLimit is the rank count up to which the per-pair queue
+// pointers live in a dense nranks² table. Above it they live in a map: a
+// dense 64k-rank table of pointers alone would cost tens of gigabytes
+// before the first message moves. Either way a pair's queue is created
+// the first time the pair is used.
 const denseQueueLimit = 256
 
 // Transport is a shared-memory segment connecting nranks local processes
-// with per-ordered-pair FIFO queues.
+// with per-ordered-pair FIFO queues. A queue is created on the first
+// send or receive between its pair: a collective uses far fewer than
+// the nranks² possible pairs (Allgather64's tree uses 2(nranks−1)), so
+// building a communicator costs O(nranks) and each operation pays only
+// for the pairs it talks over.
 type Transport struct {
 	node     *kernel.Node
 	nranks   int
@@ -60,14 +64,12 @@ type Transport struct {
 	boardIDs []int                        // liveness board slot per rank (nil = identity)
 }
 
-// New creates a transport among nranks processes of node.
+// New creates a transport among nranks processes of node. It creates no
+// queue.
 func New(node *kernel.Node, nranks int) *Transport {
 	t := &Transport{node: node, nranks: nranks}
 	if nranks <= denseQueueLimit {
 		t.queues = make([]*sim.Chan[message], nranks*nranks)
-		for i := range t.queues {
-			t.queues[i] = sim.NewChan[message](node.Sim, queueDepth)
-		}
 	} else {
 		t.lazy = make(map[int64]*sim.Chan[message])
 	}
@@ -124,12 +126,16 @@ func (t *Transport) queue(src, dst int) *sim.Chan[message] {
 	if src < 0 || src >= t.nranks || dst < 0 || dst >= t.nranks {
 		panic(fmt.Sprintf("shm: rank out of range: %d -> %d (nranks %d)", src, dst, t.nranks))
 	}
+	// Creation order varies with the schedule, but a fresh queue holds
+	// no state and channel identity never feeds the event order, so
+	// determinism is unaffected.
 	if t.queues != nil {
-		return t.queues[src*t.nranks+dst]
+		i := src*t.nranks + dst
+		if t.queues[i] == nil {
+			t.queues[i] = sim.NewChan[message](t.node.Sim, queueDepth)
+		}
+		return t.queues[i]
 	}
-	// Lazy pair: creation order varies with the schedule, but a fresh
-	// queue holds no state and channel identity never feeds the event
-	// order, so determinism is unaffected.
 	key := int64(src)*int64(t.nranks) + int64(dst)
 	q := t.lazy[key]
 	if q == nil {

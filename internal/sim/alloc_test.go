@@ -169,3 +169,42 @@ func TestChanQueueDropsDelivered(t *testing.T) {
 		}
 	}
 }
+
+func TestChanPingPongReusesWaiters(t *testing.T) {
+	// Two processes bounce a counter over one channel, each blocking in
+	// Recv until the other's Send, so every round parks a receiver. Each
+	// process keeps its receive waiter, and its Proc shell keeps it
+	// across Reset, so a warm Reset+Spawn+Run cycle allocates nothing.
+	const rounds = 256
+	s := New()
+	c := NewChan[int](s, 1)
+	ping := func(sp *Proc) {
+		for k := 0; k < rounds; k++ {
+			c.Send(sp, 2*k)
+			if got := c.Recv(sp); got != 2*k+1 {
+				panic(fmt.Sprintf("ping got %d, want %d", got, 2*k+1))
+			}
+		}
+	}
+	pong := func(sp *Proc) {
+		for k := 0; k < rounds; k++ {
+			if got := c.Recv(sp); got != 2*k {
+				panic(fmt.Sprintf("pong got %d, want %d", got, 2*k))
+			}
+			sp.Sleep(1)
+			c.Send(sp, 2*k+1)
+		}
+	}
+	cycle := func() {
+		s.Reset()
+		s.Spawn("pong", pong)
+		s.Spawn("ping", ping)
+		if err := s.Run(); err != nil {
+			panic(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("ping-pong cycle of %d rounds allocates %v, want 0", rounds, allocs)
+	}
+}

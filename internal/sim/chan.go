@@ -13,8 +13,8 @@ type Chan[T any] struct {
 	cap int
 	buf queue[T]
 
-	sendq []*sendWaiter[T]
-	recvq []*recvWaiter[T]
+	sendq queue[*sendWaiter[T]]
+	recvq queue[*recvWaiter[T]]
 }
 
 type sendWaiter[T any] struct {
@@ -48,13 +48,14 @@ func (w *recvWaiter[T]) disarm() {
 	}
 }
 
-// queue is a FIFO over one reused backing array. pop advances a head
-// index and zeroes the slot it leaves, so a delivered message is not
-// pinned; a drained queue restarts at the front of its array, and once
-// the dead prefix passes half the length the live tail slides down, so
-// push's append refills the same array instead of reallocating as the
-// live window drifts along it, and a queue that never drains stays
-// bounded by twice its peak occupancy.
+// queue is a FIFO over one reused backing array; it holds a channel's
+// buffered messages and its parked senders and receivers. pop advances
+// a head index and zeroes the slot it leaves, so a delivered message is
+// not pinned; a drained queue restarts at the front of its array, and
+// once the dead prefix passes half the length the live tail slides
+// down, so push's append refills the same array instead of reallocating
+// as the live window drifts along it, and a queue that never drains
+// stays bounded by twice its peak occupancy.
 type queue[T any] struct {
 	items []T
 	head  int
@@ -79,6 +80,20 @@ func (q *queue[T]) pop() T {
 	return v
 }
 
+// removeAt deletes the i-th live element (0 is the head), keeping the
+// order of the rest. Only timed-out waiters leave from the middle.
+func (q *queue[T]) removeAt(i int) {
+	var zero T
+	j := q.head + i
+	n := len(q.items)
+	copy(q.items[j:], q.items[j+1:])
+	q.items[n-1] = zero
+	q.items = q.items[:n-1]
+	if q.head == n-1 {
+		q.items, q.head = q.items[:0], 0
+	}
+}
+
 // NewChan creates a channel with the given buffer capacity (0 for
 // rendezvous semantics).
 func NewChan[T any](s *Simulation, capacity int) *Chan[T] {
@@ -96,9 +111,8 @@ func (c *Chan[T]) Len() int { return c.buf.len() }
 func (c *Chan[T]) Send(p *Proc, v T) {
 	// Direct hand-off to a waiting receiver preserves FIFO order only
 	// when no messages are buffered ahead of v.
-	if len(c.recvq) > 0 && c.buf.len() == 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
+	if c.recvq.len() > 0 && c.buf.len() == 0 {
+		w := c.recvq.pop()
 		w.val, w.ok = v, true
 		w.disarm()
 		w.p.wake(c.sim.now)
@@ -108,17 +122,15 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 		c.buf.push(v)
 		return
 	}
-	sw := &sendWaiter[T]{p: p, val: v}
-	c.sendq = append(c.sendq, sw)
+	c.sendq.push(&sendWaiter[T]{p: p, val: v})
 	p.block(blockedChanSend)
 }
 
 // TrySend delivers v without blocking; it reports whether the value was
 // accepted.
 func (c *Chan[T]) TrySend(v T) bool {
-	if len(c.recvq) > 0 && c.buf.len() == 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
+	if c.recvq.len() > 0 && c.buf.len() == 0 {
+		w := c.recvq.pop()
 		w.val, w.ok = v, true
 		w.disarm()
 		w.p.wake(c.sim.now)
@@ -136,9 +148,8 @@ func (c *Chan[T]) Recv(p *Proc) T {
 	if c.buf.len() > 0 {
 		v := c.buf.pop()
 		// A parked sender can now occupy the freed slot.
-		if len(c.sendq) > 0 {
-			sw := c.sendq[0]
-			c.sendq = c.sendq[1:]
+		if c.sendq.len() > 0 {
+			sw := c.sendq.pop()
 			c.buf.push(sw.val)
 			sw.ok = true
 			sw.disarm()
@@ -146,21 +157,46 @@ func (c *Chan[T]) Recv(p *Proc) T {
 		}
 		return v
 	}
-	if len(c.sendq) > 0 { // rendezvous: take directly from a parked sender
-		sw := c.sendq[0]
-		c.sendq = c.sendq[1:]
+	if c.sendq.len() > 0 { // rendezvous: take directly from a parked sender
+		sw := c.sendq.pop()
 		sw.ok = true
 		sw.disarm()
 		sw.p.wake(c.sim.now)
 		return sw.val
 	}
-	rw := &recvWaiter[T]{p: p}
-	c.recvq = append(c.recvq, rw)
+	rw := waiterOf[T](p, nil)
+	c.recvq.push(rw)
 	p.block(blockedChanRecv)
 	if !rw.ok {
 		panic("sim: chan recv woke without a value")
 	}
-	return rw.val
+	return release(rw)
+}
+
+// waiterOf returns p's receive waiter for element type T, armed with
+// tm. A process waits on one channel at a time, so it keeps one waiter
+// per element type across all its blocking receives (and, as its Proc
+// shell is recycled, across simulations); only the first allocates.
+func waiterOf[T any](p *Proc, tm *timer) *recvWaiter[T] {
+	rw, ok := p.recvWaiter.(*recvWaiter[T])
+	if !ok {
+		rw = new(recvWaiter[T])
+		p.recvWaiter = rw
+	}
+	rw.p, rw.tm = p, tm
+	return rw
+}
+
+// release returns the value a woken waiter carried and zeroes the
+// waiter, which no queue references any more, for its next wait: a
+// stale ok or val would answer the next receive, a stale tm (already
+// back on the simulation's timer free list) would let that receive
+// cancel another process's deadline, and a kept val would pin the
+// delivered message.
+func release[T any](rw *recvWaiter[T]) T {
+	v := rw.val
+	*rw = recvWaiter[T]{}
+	return v
 }
 
 // TryRecv returns a message if one is immediately available.
@@ -168,9 +204,8 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 	var zero T
 	if c.buf.len() > 0 {
 		v := c.buf.pop()
-		if len(c.sendq) > 0 {
-			sw := c.sendq[0]
-			c.sendq = c.sendq[1:]
+		if c.sendq.len() > 0 {
+			sw := c.sendq.pop()
 			c.buf.push(sw.val)
 			sw.ok = true
 			sw.disarm()
@@ -178,9 +213,8 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 		}
 		return v, true
 	}
-	if len(c.sendq) > 0 {
-		sw := c.sendq[0]
-		c.sendq = c.sendq[1:]
+	if c.sendq.len() > 0 {
+		sw := c.sendq.pop()
 		sw.ok = true
 		sw.disarm()
 		sw.p.wake(c.sim.now)
@@ -205,20 +239,21 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
 	if v, ok := c.TryRecv(); ok {
 		return v, true
 	}
-	rw := &recvWaiter[T]{p: p, tm: c.sim.scheduleTimer(p, c.sim.now+d)}
-	c.recvq = append(c.recvq, rw)
+	rw := waiterOf[T](p, c.sim.scheduleTimer(p, c.sim.now+d))
+	c.recvq.push(rw)
 	p.block(blockedChanRecvTimed)
 	if rw.ok {
-		return rw.val, true
+		return release(rw), true
 	}
 	// The deadline fired: withdraw from the waiter queue so a later
 	// sender cannot hand a value (and a wake) to a process that left.
-	for i, w := range c.recvq {
+	for i, w := range c.recvq.items[c.recvq.head:] {
 		if w == rw {
-			c.recvq = append(c.recvq[:i], c.recvq[i+1:]...)
+			c.recvq.removeAt(i)
 			break
 		}
 	}
+	release(rw)
 	return zero, false
 }
 
@@ -233,14 +268,14 @@ func (c *Chan[T]) SendTimeout(p *Proc, v T, d Time) bool {
 		return true
 	}
 	sw := &sendWaiter[T]{p: p, val: v, tm: c.sim.scheduleTimer(p, c.sim.now+d)}
-	c.sendq = append(c.sendq, sw)
+	c.sendq.push(sw)
 	p.block(blockedChanSendTimed)
 	if sw.ok {
 		return true
 	}
-	for i, w := range c.sendq {
+	for i, w := range c.sendq.items[c.sendq.head:] {
 		if w == sw {
-			c.sendq = append(c.sendq[:i], c.sendq[i+1:]...)
+			c.sendq.removeAt(i)
 			break
 		}
 	}

@@ -89,6 +89,9 @@ type Proc struct {
 	blockedOn string        // diagnostic: what primitive the proc is blocked on
 	started   bool
 	finished  bool
+	// recvWaiter is the *recvWaiter[T] the process parks with in a
+	// blocking Chan receive, kept for its next one (see waiterOf).
+	recvWaiter any
 }
 
 // ID returns the process's spawn index.

@@ -204,3 +204,41 @@ func TestTimedRecvDispatchTransparent(t *testing.T) {
 			timedT, timedN, plainT, plainN)
 	}
 }
+
+// TestRecycledRecvWaiterIsClean: a process's reused receive waiter
+// carries nothing from its last wait. A receive after a delivery must
+// still time out (a stale ok/val would hand back the old value), and a
+// plain receive after a timeout must not cancel the deadline that the
+// expired timer was recycled into (a stale tm would, and the bystander
+// holding it would never wake).
+func TestRecycledRecvWaiterIsClean(t *testing.T) {
+	s := New()
+	c := NewChan[int](s, 0)
+	other := NewChan[int](s, 0)
+	s.Spawn("rx", func(p *Proc) {
+		if v, ok := c.RecvTimeout(p, 100); !ok || v != 7 || p.Now() != 10 {
+			t.Errorf("first receive: (%d,%v) at %g, want (7,true) at 10", v, ok, p.Now())
+		}
+		if v, ok := c.RecvTimeout(p, 5); ok || v != 0 || p.Now() != 15 {
+			t.Errorf("timed-out receive: (%d,%v) at %g, want (0,false) at 15", v, ok, p.Now())
+		}
+		if v := c.Recv(p); v != 9 || p.Now() != 30 {
+			t.Errorf("plain receive: %d at %g, want 9 at 30", v, p.Now())
+		}
+	})
+	s.Spawn("bystander", func(p *Proc) {
+		p.Sleep(16) // its deadline reuses the timer that expired at 15
+		if _, ok := other.RecvTimeout(p, 50); ok || p.Now() != 66 {
+			t.Errorf("bystander: ok=%v at %g, want a timeout at 66", ok, p.Now())
+		}
+	})
+	s.Spawn("tx", func(p *Proc) {
+		p.Sleep(10)
+		c.Send(p, 7)
+		p.Sleep(20)
+		c.Send(p, 9)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
