@@ -7,14 +7,16 @@
 //
 //	camc-osu -coll bcast                          # proposed design, KNL
 //	camc-osu -coll scatter -lib mvapich2 -arch power8
-//	camc-osu -coll gather -algo throttle-4 -procs 32
+//	camc-osu -coll gather -algo throttled:4 -procs 32
 //	camc-osu -coll allgather -mech xpmem
 //	camc-osu -coll reduce -min 4K -max 1M
 //	camc-osu -list-algos -coll bcast
 //
-// Bad flags (an unknown collective, an empty size ladder, -iters < 1,
-// a negative -procs, an out-of-range -root) exit 2 with a one-line
-// error.
+// -algo takes a spec of the grammar camc-trace and camc-fuzz -repro
+// share (core.LookupAlgorithm): "name" or "name:k", e.g. throttled:4 or
+// knomial-read:9. Bad flags (an unknown collective or algorithm spec, an
+// empty size ladder, -iters < 1, a negative -procs, an out-of-range
+// -root) exit 2 with a one-line error.
 package main
 
 import (
@@ -24,6 +26,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strings"
 
 	"camc/internal/arch"
 	"camc/internal/core"
@@ -32,7 +35,6 @@ import (
 	"camc/internal/measure"
 	"camc/internal/mpi"
 	"camc/internal/store"
-	"camc/internal/tuner"
 )
 
 func main() {
@@ -54,13 +56,13 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		collF  = fs.String("coll", "", "collective: scatter, gather, bcast, allgather, alltoall, reduce")
 		libF   = fs.String("lib", "proposed", "library: proposed, mvapich2, intelmpi, openmpi")
-		algoF  = fs.String("algo", "", "specific algorithm name (overrides -lib; see -list-algos)")
+		algoF  = fs.String("algo", "", "algorithm spec, name or name:k (overrides -lib; see -list-algos)")
 		archF  = fs.String("arch", "knl", "architecture: knl, broadwell, power8")
 		procs  = fs.Int("procs", 0, "process count (default: full subscription)")
 		minF   = fs.String("min", "1K", "smallest message size in bytes, with optional K/M suffix")
 		maxF   = fs.String("max", "4M", "largest message size in bytes, with optional K/M suffix")
 		mechF  = fs.String("mech", "cma", "kernel-assist mechanism: cma, knem, limic, xpmem")
-		listA  = fs.Bool("list-algos", false, "list the algorithm names for -coll")
+		listA  = fs.Bool("list-algos", false, "list the algorithm specs for -coll")
 		rootF  = fs.Int("root", 0, "root rank for rooted collectives")
 		itersF = fs.Int("iters", 1, "timed invocations per size")
 	)
@@ -79,8 +81,15 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown -coll %q (want one of %v)", *collF, core.SpecKinds())
 	}
 	if *listA {
-		for _, al := range tuner.Candidates(kind, a) {
-			fmt.Fprintln(stdout, al.Name)
+		for _, sp := range core.Specs(kind) {
+			line := sp.Name
+			if sp.Default > 0 {
+				line += fmt.Sprintf("[:k]  (k defaults to %d)", sp.Default)
+			}
+			if len(sp.Aliases) > 0 {
+				line += fmt.Sprintf("  alias %s", strings.Join(sp.Aliases, ", "))
+			}
+			fmt.Fprintln(stdout, line)
 		}
 		return nil
 	}
@@ -89,17 +98,13 @@ func run(args []string, stdout io.Writer) error {
 	var label string
 	switch {
 	case *algoF != "":
-		for _, al := range tuner.Candidates(kind, a) {
-			if al.Name == *algoF {
-				algo = al.Run
-				label = al.Name
-			}
+		al, err := core.LookupAlgorithm(kind, *algoF)
+		if err != nil {
+			return fmt.Errorf("-algo: %v (use -list-algos)", err)
 		}
-		if algo == nil {
-			return fmt.Errorf("unknown algorithm %q for %s (use -list-algos)", *algoF, kind)
-		}
+		algo, label = al.Run, al.Name
 	case kind == core.KindReduce:
-		algo, label = core.TunedReduce, "tuned-reduce"
+		algo, label = core.Tuned(core.KindReduce), "tuned-reduce"
 	default:
 		l, ok := libs.ByName(*libF)
 		if !ok {

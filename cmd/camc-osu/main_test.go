@@ -29,7 +29,11 @@ func TestRun(t *testing.T) {
 		{"negative procs", []string{"-coll", "bcast", "-procs", "-3"}, 0, "negative -procs"},
 		{"root out of range", []string{"-coll", "gather", "-procs", "4", "-root", "4"}, 0, "-root 4"},
 		{"unknown arch", []string{"-coll", "bcast", "-arch", "vax"}, 0, "vax"},
-		{"unknown algo", []string{"-coll", "bcast", "-algo", "nope"}, 0, `unknown algorithm "nope"`},
+		{"algo spec", []string{"-coll", "gather", "-algo", "throttled:4", "-max", "4K"}, 3, ""},
+		{"algo alias", []string{"-coll", "gather", "-algo", "throttle:4", "-procs", "4", "-max", "1K"}, 1, ""},
+		{"unknown algo", []string{"-coll", "bcast", "-algo", "nope"}, 0, `unknown bcast algorithm "nope"`},
+		{"tuner candidate name", []string{"-coll", "gather", "-algo", "throttle-4"}, 0, `unknown gather algorithm "throttle-4"`},
+		{"param on fixed family", []string{"-coll", "gather", "-algo", "binomial-shm:2"}, 0, "takes no parameter"},
 		{"unknown lib", []string{"-coll", "bcast", "-lib", "nope"}, 0, `unknown library "nope"`},
 		{"unknown mech", []string{"-coll", "bcast", "-mech", "nope"}, 0, `unknown mechanism "nope"`},
 		{"stray argument", []string{"-coll", "bcast", "extra"}, 0, "unexpected argument"},
@@ -63,13 +67,15 @@ func TestRun(t *testing.T) {
 	}
 }
 
-// TestListAlgos prints the candidate names for a known collective.
+// TestListAlgos prints the registered specs for a known collective.
 func TestListAlgos(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-coll", "scatter", "-list-algos"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "parallel-read") {
-		t.Fatalf("listing lacks parallel-read:\n%s", out.String())
+	for _, want := range []string{"parallel-read", "throttled[:k]", "tuned"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("listing lacks %s:\n%s", want, out.String())
+		}
 	}
 }

@@ -15,8 +15,7 @@
 // With -serve it becomes the always-on tuning service: an HTTP/JSON
 // oracle (GET /plan, /stats, /healthz) answering concurrent plan
 // requests from a tuned-table cache keyed by (arch, ranks, kind,
-// ambient bucket), re-tuning in batches when the observed ambient
-// pressure drifts.
+// ambient bucket).
 package main
 
 import (
@@ -59,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storeF  = fs.String("store", "", "append the tuned-table cells to the results store at this directory (created if absent; query with camc-report)")
 		serve   = fs.Bool("serve", false, "run the always-on tuning service (HTTP/JSON plan cache) instead of a one-shot tune")
 		addr    = fs.String("addr", "127.0.0.1:7423", "listen address for -serve")
-		retune  = fs.Duration("retune", time.Minute, "drift re-tune interval for -serve (0 disables the background batch)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -70,10 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *ambient < 0 {
 		fmt.Fprintf(stderr, "negative -ambient %d (lock holders; 0 = idle machine)\n", *ambient)
-		return 2
-	}
-	if *retune < 0 {
-		fmt.Fprintf(stderr, "negative -retune %v (0 disables the background batch)\n", *retune)
 		return 2
 	}
 	if *serve && *storeF != "" {
@@ -98,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *serve {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		return serveMain(ctx, *addr, *retune, tuner.ServiceConfig{Jobs: *jobs, ProbeSizes: sizes}, stdout, stderr)
+		return serveMain(ctx, *addr, tuner.ServiceConfig{Jobs: *jobs, ProbeSizes: sizes}, stdout, stderr)
 	}
 
 	var st *store.Store
@@ -236,28 +230,12 @@ func newServer(h http.Handler) *http.Server {
 // for up to shutdownGrace. The listener is bound before the "listening"
 // line prints, so a caller (the CI smoke job) can wait for that line and
 // then query.
-func serveMain(ctx context.Context, addr string, retune time.Duration, cfg tuner.ServiceConfig, stdout, stderr io.Writer) int {
+func serveMain(ctx context.Context, addr string, cfg tuner.ServiceConfig, stdout, stderr io.Writer) int {
 	svc := tuner.NewService(cfg)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
-	}
-	if retune > 0 {
-		tick := time.NewTicker(retune)
-		defer tick.Stop()
-		go func() {
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if n := svc.Retune(); n > 0 {
-						fmt.Fprintf(stderr, "retune: rebuilt %d drifted tables\n", n)
-					}
-				}
-			}
-		}()
 	}
 	srv := newServer(svc.Handler())
 	served := make(chan error, 1)

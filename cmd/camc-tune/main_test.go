@@ -22,7 +22,6 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{"bad_arch", []string{"-arch", "sparc"}, "-arch knl, broadwell, or power8"},
 		{"negative_ambient", []string{"-ambient", "-3"}, "-ambient"},
-		{"negative_retune", []string{"-serve", "-retune", "-10s"}, "-retune"},
 		{"serve_with_store", []string{"-serve", "-store", "x.store"}, "-serve and -store are exclusive"},
 		{"positional_arg", []string{"knl"}, "flags only"},
 		{"undefined_flag", []string{"-frobnicate"}, "flag provided but not defined"},

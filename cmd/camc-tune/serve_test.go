@@ -40,7 +40,7 @@ func TestServeDrainsOnCancel(t *testing.T) {
 	var stderr bytes.Buffer
 	done := make(chan int, 1)
 	go func() {
-		done <- serveMain(ctx, "127.0.0.1:0", 0, tuner.ServiceConfig{ProbeSizes: []int64{4 << 10}}, pw, &stderr)
+		done <- serveMain(ctx, "127.0.0.1:0", tuner.ServiceConfig{ProbeSizes: []int64{4 << 10}}, pw, &stderr)
 		pw.Close()
 	}()
 	line, err := bufio.NewReader(pr).ReadString('\n')

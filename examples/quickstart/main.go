@@ -40,7 +40,7 @@ func main() {
 
 	// Run the paper's throttled-read Scatter (k = the KNL sweet spot, 8).
 	comm.Start(func(r *mpi.Rank) {
-		core.TunedScatter(r, core.Args{Send: send[r.ID], Recv: recv[r.ID], Count: count, Root: 0})
+		core.Tuned(core.KindScatter)(r, core.Args{Send: send[r.ID], Recv: recv[r.ID], Count: count, Root: 0})
 	})
 	if err := comm.Sim.Run(); err != nil {
 		log.Fatal(err)

@@ -2,7 +2,6 @@ package check
 
 import (
 	"strconv"
-	"strings"
 	"sync"
 
 	"camc/internal/arch"
@@ -43,20 +42,9 @@ func predictFor(a *arch.Profile, procs int, kind core.Kind, spec string, count i
 	if count < predictMinCount {
 		return 0, false
 	}
-	name, param := spec, 0
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		name = spec[:i]
-		v, err := strconv.Atoi(spec[i+1:])
-		if err != nil {
-			return 0, false
-		}
-		param = v
-	}
-	k := func(def int) int {
-		if param == 0 {
-			return def
-		}
-		return param
+	name, k, err := core.ResolveSpec(kind, spec)
+	if err != nil {
+		return 0, false
 	}
 	pr := func() *model.Predictor { return predictorFor(a, procs) }
 	switch kind {
@@ -66,8 +54,8 @@ func predictFor(a *arch.Profile, procs int, kind core.Kind, spec string, count i
 			return pr().ScatterParallelRead(count), true
 		case "sequential-write":
 			return pr().ScatterSeqWrite(count), true
-		case "throttled", "throttle":
-			return pr().ScatterThrottled(count, k(4)), true
+		case "throttled":
+			return pr().ScatterThrottled(count, k), true
 		}
 	case core.KindGather:
 		switch name {
@@ -75,11 +63,11 @@ func predictFor(a *arch.Profile, procs int, kind core.Kind, spec string, count i
 			return pr().GatherParallelWrite(count), true
 		case "sequential-read":
 			return pr().GatherSeqRead(count), true
-		case "throttled", "throttle":
-			return pr().GatherThrottled(count, k(4)), true
+		case "throttled":
+			return pr().GatherThrottled(count, k), true
 		}
 	case core.KindAlltoall:
-		if name == "pairwise-cma-coll" || name == "pairwise" {
+		if name == "pairwise-cma-coll" {
 			return pr().AlltoallPairwise(count), true
 		}
 	case core.KindAllgather:
@@ -100,7 +88,7 @@ func predictFor(a *arch.Profile, procs int, kind core.Kind, spec string, count i
 		case "direct-write":
 			return pr().BcastDirectWrite(count), true
 		case "knomial-read", "knomial-write":
-			return pr().BcastKnomial(count, k(4)), true
+			return pr().BcastKnomial(count, k), true
 		case "scatter-allgather":
 			return pr().BcastScatterAllgather(count), true
 		}
@@ -111,7 +99,7 @@ func predictFor(a *arch.Profile, procs int, kind core.Kind, spec string, count i
 		case "parallel-write":
 			return pr().ReduceParallelWrite(count), true
 		case "knomial":
-			return pr().ReduceKnomial(count, k(2)), true
+			return pr().ReduceKnomial(count, k), true
 		}
 	}
 	return 0, false

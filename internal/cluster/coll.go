@@ -623,7 +623,7 @@ func (h *hier) allgatherLeader(r *Rank, a Args) {
 	// Fan the completed world buffer out to the node.
 	h.phase(r, "h_intra", func() {
 		if kn > 1 {
-			core.TunedBcast(r.Rank, core.Args{Send: a.Recv, Recv: a.Recv, Count: full, Root: lead})
+			core.Tuned(core.KindBcast)(r.Rank, core.Args{Send: a.Recv, Recv: a.Recv, Count: full, Root: lead})
 		}
 	})
 }
@@ -640,7 +640,7 @@ func (h *hier) alltoallLeader(r *Rank, a Args) {
 	}
 	h.phase(r, "h_intra", func() {
 		if kn > 1 {
-			core.TunedGather(r.Rank, core.Args{Send: a.Send, Recv: stage, Count: vec, Root: lead})
+			core.Tuned(core.KindGather)(r.Rank, core.Args{Send: a.Send, Recv: stage, Count: vec, Root: lead})
 		} else {
 			r.LocalCopy(stage, a.Send, vec)
 		}
@@ -656,7 +656,7 @@ func (h *hier) alltoallLeader(r *Rank, a Args) {
 	}
 	h.phase(r, "h_intra", func() {
 		if kn > 1 {
-			core.TunedScatter(r.Rank, core.Args{Send: mstage, Recv: a.Recv, Count: vec, Root: lead})
+			core.Tuned(core.KindScatter)(r.Rank, core.Args{Send: mstage, Recv: a.Recv, Count: vec, Root: lead})
 		} else {
 			r.LocalCopy(a.Recv, mstage, vec)
 		}

@@ -102,12 +102,6 @@ func newWorldLiveness(cl *Cluster, cfg liveness.Config) *WorldLiveness {
 	return wl
 }
 
-// View returns node n's world-sized liveness board.
-func (wl *WorldLiveness) View(n int) *liveness.Board { return wl.views[n] }
-
-// Config returns the detector tuning.
-func (wl *WorldLiveness) Config() liveness.Config { return wl.cfg }
-
 // beatWorld publishes world rank w's heartbeat on its own node's view.
 func (wl *WorldLiveness) beatWorld(w int) {
 	wl.views[w/wl.cl.PPN].Beat(w)

@@ -24,9 +24,10 @@ func AllgatherRingNeighbor(j int) func(r *mpi.Rank, a Args) {
 	if j < 1 {
 		panic("core: ring neighbor stride must be >= 1")
 	}
+	name := "allgather:ring-neighbor-" + itoa(j)
 	return func(r *mpi.Rank, a Args) {
 		a.validate(r)
-		rec, span := beginColl(r, "allgather:ring-neighbor-"+itoa(j), a)
+		rec, span := beginColl(r, name, a)
 		defer rec.End(span)
 		p := r.Size()
 		if gcd(p, j%p) != 1 && p > 1 {

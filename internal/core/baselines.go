@@ -65,9 +65,10 @@ func lowbit(v int) int { return v & -v }
 // messages shrink as they descend the tree. This is what MVAPICH2-style
 // libraries run for large scatter.
 func ScatterBinomial(tr Transport) func(r *mpi.Rank, a Args) {
+	name := "scatter:binomial-" + tr.name()
 	return func(r *mpi.Rank, a Args) {
 		a.validate(r)
-		rec, span := beginColl(r, "scatter:binomial-"+tr.name(), a)
+		rec, span := beginColl(r, name, a)
 		defer rec.End(span)
 		p := r.Size()
 		rel := relRank(r.ID, a.Root, p)
@@ -141,9 +142,10 @@ func ScatterBinomial(tr Transport) func(r *mpi.Rank, a Args) {
 // GatherBinomial is the classic binomial-tree gather: leaves send their
 // block up; interior nodes accumulate their subtree before forwarding.
 func GatherBinomial(tr Transport) func(r *mpi.Rank, a Args) {
+	name := "gather:binomial-" + tr.name()
 	return func(r *mpi.Rank, a Args) {
 		a.validate(r)
-		rec, span := beginColl(r, "gather:binomial-"+tr.name(), a)
+		rec, span := beginColl(r, name, a)
 		defer rec.End(span)
 		p := r.Size()
 		rel := relRank(r.ID, a.Root, p)
@@ -219,9 +221,10 @@ func GatherBinomial(tr Transport) func(r *mpi.Rank, a Args) {
 // BcastBinomial is the classic binomial-tree broadcast over point-to-
 // point transfers (the small/medium-message choice in every library).
 func BcastBinomial(tr Transport) func(r *mpi.Rank, a Args) {
+	name := "bcast:binomial-" + tr.name()
 	return func(r *mpi.Rank, a Args) {
 		a.validate(r)
-		rec, span := beginColl(r, "bcast:binomial-"+tr.name(), a)
+		rec, span := beginColl(r, name, a)
 		defer rec.End(span)
 		p := r.Size()
 		rel := relRank(r.ID, a.Root, p)
@@ -250,9 +253,10 @@ func BcastBinomial(tr Transport) func(r *mpi.Rank, a Args) {
 // transfers: in step i every rank passes the block it received in step
 // i−1 to its successor.
 func AllgatherRing(tr Transport) func(r *mpi.Rank, a Args) {
+	name := "allgather:ring-" + tr.name()
 	return func(r *mpi.Rank, a Args) {
 		a.validate(r)
-		rec, span := beginColl(r, "allgather:ring-"+tr.name(), a)
+		rec, span := beginColl(r, name, a)
 		defer rec.End(span)
 		p := r.Size()
 		me := r.ID
@@ -276,9 +280,10 @@ func AllgatherRing(tr Transport) func(r *mpi.Rank, a Args) {
 // same Van de Geijn structure as BcastScatterAllgather but without the
 // native CMA data path.
 func BcastVanDeGeijn(tr Transport) func(r *mpi.Rank, a Args) {
+	name := "bcast:vandegeijn-" + tr.name()
 	return func(r *mpi.Rank, a Args) {
 		a.validate(r)
-		rec, span := beginColl(r, "bcast:vandegeijn-"+tr.name(), a)
+		rec, span := beginColl(r, name, a)
 		defer rec.End(span)
 		p := r.Size()
 		buf := bcastBuf(r, a)

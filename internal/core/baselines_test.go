@@ -73,23 +73,23 @@ func TestTunedCorrectAcrossSizesAndArchs(t *testing.T) {
 		for _, size := range sizes {
 			p := 8
 			fs := newFixture(t, a, p, KindScatter, size)
-			fs.run(t, TunedScatter, 0)
+			fs.run(t, Tuned(KindScatter), 0)
 			fs.verifyScatter(t, 0)
 
 			fg := newFixture(t, a, p, KindGather, size)
-			fg.run(t, TunedGather, 0)
+			fg.run(t, Tuned(KindGather), 0)
 			fg.verifyGather(t, 0)
 
 			fb := newFixture(t, a, p, KindBcast, size)
-			fb.run(t, TunedBcast, 0)
+			fb.run(t, Tuned(KindBcast), 0)
 			fb.verifyBcast(t, 0)
 
 			fa := newFixture(t, a, p, KindAllgather, size)
-			fa.run(t, TunedAllgather, 0)
+			fa.run(t, Tuned(KindAllgather), 0)
 			fa.verifyAllgather(t)
 
 			f2 := newFixture(t, a, p, KindAlltoall, size)
-			f2.run(t, TunedAlltoall, 0)
+			f2.run(t, Tuned(KindAlltoall), 0)
 			f2.verifyAlltoall(t)
 		}
 	}

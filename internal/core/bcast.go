@@ -104,9 +104,10 @@ func BcastKnomialRead(k int) func(r *mpi.Rank, a Args) {
 	if k < 2 {
 		panic("core: k-nomial base must be >= 2")
 	}
+	name := "bcast:knomial-read-" + itoa(k)
 	return func(r *mpi.Rank, a Args) {
 		a.validate(r)
-		rec, span := beginColl(r, "bcast:knomial-read-"+itoa(k), a)
+		rec, span := beginColl(r, name, a)
 		defer rec.End(span)
 		p := r.Size()
 		buf := bcastBuf(r, a)
@@ -142,9 +143,10 @@ func BcastKnomialWrite(k int) func(r *mpi.Rank, a Args) {
 	if k < 2 {
 		panic("core: k-nomial base must be >= 2")
 	}
+	name := "bcast:knomial-write-" + itoa(k)
 	return func(r *mpi.Rank, a Args) {
 		a.validate(r)
-		rec, span := beginColl(r, "bcast:knomial-write-"+itoa(k), a)
+		rec, span := beginColl(r, name, a)
 		defer rec.End(span)
 		p := r.Size()
 		buf := bcastBuf(r, a)

@@ -65,9 +65,10 @@ func GatherThrottled(k int) func(r *mpi.Rank, a Args) {
 	if k < 1 {
 		panic("core: throttle factor must be >= 1")
 	}
+	name := "gather:" + throttleName(k)
 	return func(r *mpi.Rank, a Args) {
 		a.validate(r)
-		rec, span := beginColl(r, "gather:"+throttleName(k), a)
+		rec, span := beginColl(r, name, a)
 		defer rec.End(span)
 		p := r.Size()
 		recvAddr := kernel.Addr(r.Bcast64(a.Root, int64(a.Recv)))

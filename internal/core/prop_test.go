@@ -57,7 +57,7 @@ func propAlgorithms() map[Kind][]Algorithm {
 		Algorithm{Name: "vandegeijn-pt2pt", Kind: KindBcast, Run: BcastVanDeGeijn(TransportPt2pt)},
 		Algorithm{Name: "tuned", Kind: KindBcast, Run: Tuned(KindBcast)})
 	m[KindReduce] = append(ReduceAlgorithms(2, 3, 4),
-		Algorithm{Name: "tuned", Kind: KindReduce, Run: TunedReduce})
+		Algorithm{Name: "tuned", Kind: KindReduce, Run: Tuned(KindReduce)})
 	return m
 }
 

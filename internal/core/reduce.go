@@ -156,20 +156,6 @@ func ReduceBinomialPt2pt(tr Transport) func(r *mpi.Rank, a Args) {
 	}
 }
 
-// TunedReduce extends the paper's tuning framework to Reduce: the
-// shared-memory binomial below the kernel-assist threshold, the binary
-// CMA tree above. Unlike Scatter/Bcast, a *deep* tree wins here: a
-// reduce parent serializes its children's read+combine steps, so wide
-// fan-ins add serial work without adding useful concurrency — the
-// autotuner (internal/tuner) discovers the same thing.
-func TunedReduce(r *mpi.Rank, a Args) {
-	if a.Count < cmaThreshold(KindGather) {
-		ReduceBinomialPt2pt(TransportShm)(r, a)
-		return
-	}
-	ReduceKnomial(2)(r, a)
-}
-
 // KindReduce extends the collective registry for the future-work
 // designs.
 const KindReduce Kind = "reduce"

@@ -58,7 +58,7 @@ func TestReduceAlgorithmsCorrect(t *testing.T) {
 
 func TestTunedReduceCorrectAcrossThreshold(t *testing.T) {
 	for _, count := range []int64{512, 5000, 40000} {
-		runReduce(t, 9, count, 2, TunedReduce)
+		runReduce(t, 9, count, 2, Tuned(KindReduce))
 	}
 }
 

@@ -67,9 +67,10 @@ func ScatterThrottled(k int) func(r *mpi.Rank, a Args) {
 	if k < 1 {
 		panic("core: throttle factor must be >= 1")
 	}
+	name := "scatter:" + throttleName(k)
 	return func(r *mpi.Rank, a Args) {
 		a.validate(r)
-		rec, span := beginColl(r, "scatter:"+throttleName(k), a)
+		rec, span := beginColl(r, name, a)
 		defer rec.End(span)
 		p := r.Size()
 		sendAddr := kernel.Addr(r.Bcast64(a.Root, int64(a.Send)))

@@ -47,6 +47,13 @@ func fixed(run func(*mpi.Rank, Args)) func(int) func(*mpi.Rank, Args) {
 	return func(int) func(*mpi.Rank, Args) { return run }
 }
 
+// tunedBuild adapts Tuned to the build signature. It defers the Tuned
+// call to build time: Tuned's closures are made in init, after this
+// table is initialized.
+func tunedBuild(kind Kind) func(int) func(*mpi.Rank, Args) {
+	return func(int) func(*mpi.Rank, Args) { return Tuned(kind) }
+}
+
 // specKindOrder fixes the kind iteration order for SpecKinds.
 var specKindOrder = []Kind{KindScatter, KindGather, KindAlltoall, KindAllgather, KindBcast, KindReduce}
 
@@ -58,7 +65,7 @@ var specTable = map[Kind][]specEntry{
 			func(k int) func(*mpi.Rank, Args) { return ScatterThrottled(k) }},
 		{SpecInfo{Name: "binomial-shm"}, nil, fixed(ScatterBinomial(TransportShm))},
 		{SpecInfo{Name: "binomial-pt2pt"}, nil, fixed(ScatterBinomial(TransportPt2pt))},
-		{SpecInfo{Name: "tuned"}, nil, fixed(TunedScatter)},
+		{SpecInfo{Name: "tuned"}, nil, tunedBuild(KindScatter)},
 	},
 	KindGather: {
 		{SpecInfo{Name: "parallel-write"}, nil, fixed(GatherParallelWrite)},
@@ -67,7 +74,7 @@ var specTable = map[Kind][]specEntry{
 			func(k int) func(*mpi.Rank, Args) { return GatherThrottled(k) }},
 		{SpecInfo{Name: "binomial-shm"}, nil, fixed(GatherBinomial(TransportShm))},
 		{SpecInfo{Name: "binomial-pt2pt"}, nil, fixed(GatherBinomial(TransportPt2pt))},
-		{SpecInfo{Name: "tuned"}, nil, fixed(TunedGather)},
+		{SpecInfo{Name: "tuned"}, nil, tunedBuild(KindGather)},
 	},
 	KindBcast: {
 		{SpecInfo{Name: "direct-read"}, nil, fixed(BcastDirectRead)},
@@ -79,7 +86,7 @@ var specTable = map[Kind][]specEntry{
 			func(k int) func(*mpi.Rank, Args) { return BcastKnomialWrite(k) }},
 		{SpecInfo{Name: "binomial-shm"}, nil, fixed(BcastBinomial(TransportShm))},
 		{SpecInfo{Name: "vandegeijn-pt2pt"}, nil, fixed(BcastVanDeGeijn(TransportPt2pt))},
-		{SpecInfo{Name: "tuned"}, nil, fixed(TunedBcast)},
+		{SpecInfo{Name: "tuned"}, nil, tunedBuild(KindBcast)},
 	},
 	KindAllgather: {
 		{SpecInfo{Name: "ring-source-read"}, nil, fixed(AllgatherRingSourceRead)},
@@ -90,14 +97,14 @@ var specTable = map[Kind][]specEntry{
 		{SpecInfo{Name: "bruck"}, nil, fixed(AllgatherBruck)},
 		{SpecInfo{Name: "ring-pt2pt"}, nil, fixed(AllgatherRing(TransportPt2pt))},
 		{SpecInfo{Name: "ring-shm"}, nil, fixed(AllgatherRing(TransportShm))},
-		{SpecInfo{Name: "tuned"}, nil, fixed(TunedAllgather)},
+		{SpecInfo{Name: "tuned"}, nil, tunedBuild(KindAllgather)},
 	},
 	KindAlltoall: {
 		{SpecInfo{Name: "pairwise-cma-coll", Aliases: []string{"pairwise"}}, nil, fixed(AlltoallPairwiseColl)},
 		{SpecInfo{Name: "pairwise-cma-pt2pt"}, nil, fixed(AlltoallPairwisePt2pt)},
 		{SpecInfo{Name: "pairwise-shmem"}, nil, fixed(AlltoallPairwiseShm)},
 		{SpecInfo{Name: "bruck"}, nil, fixed(AlltoallBruck)},
-		{SpecInfo{Name: "tuned"}, nil, fixed(TunedAlltoall)},
+		{SpecInfo{Name: "tuned"}, nil, tunedBuild(KindAlltoall)},
 	},
 	KindReduce: {
 		{SpecInfo{Name: "flat-sequential"}, nil, fixed(ReduceFlat)},
@@ -106,7 +113,7 @@ var specTable = map[Kind][]specEntry{
 			func(k int) func(*mpi.Rank, Args) { return ReduceKnomial(k) }},
 		{SpecInfo{Name: "binomial-shm"}, nil, fixed(ReduceBinomialPt2pt(TransportShm))},
 		{SpecInfo{Name: "binomial-pt2pt"}, nil, fixed(ReduceBinomialPt2pt(TransportPt2pt))},
-		{SpecInfo{Name: "tuned"}, nil, fixed(TunedReduce)},
+		{SpecInfo{Name: "tuned"}, nil, tunedBuild(KindReduce)},
 	},
 }
 
@@ -157,6 +164,17 @@ func findSpec(kind Kind, name string) (*specEntry, error) {
 		}
 	}
 	return nil, fmt.Errorf("core: unknown %s algorithm %q", kind, name)
+}
+
+// ResolveSpec resolves an algorithm spec for a kind to its canonical
+// family name and the parameter after defaults (0 for a parameter-free
+// family), through the same grammar LookupAlgorithm and Replan use.
+func ResolveSpec(kind Kind, spec string) (family string, param int, err error) {
+	e, k, err := resolveSpec(kind, spec)
+	if err != nil {
+		return "", 0, err
+	}
+	return e.Name, k, nil
 }
 
 // resolveSpec is the shared front half of LookupAlgorithm and Replan:

@@ -115,9 +115,6 @@ func (n *Node) SetAmbient(holders int) {
 	n.ambient = holders
 }
 
-// Ambient returns the static co-tenant lock pressure.
-func (n *Node) Ambient() int { return n.ambient }
-
 // SetTenant attaches the node to a machine-wide tenant registry: its
 // transfers then count themselves into the job's live-holder and
 // copy-stream sets and see the other jobs' pressure as ambient. A nil

@@ -130,11 +130,11 @@ func Proposed() Library {
 	return Library{
 		Name:      "proposed",
 		Display:   "Proposed (CMA-coll)",
-		Scatter:   core.TunedScatter,
-		Gather:    core.TunedGather,
-		Bcast:     core.TunedBcast,
-		Allgather: core.TunedAllgather,
-		Alltoall:  core.TunedAlltoall,
+		Scatter:   core.Tuned(core.KindScatter),
+		Gather:    core.Tuned(core.KindGather),
+		Bcast:     core.Tuned(core.KindBcast),
+		Allgather: core.Tuned(core.KindAllgather),
+		Alltoall:  core.Tuned(core.KindAlltoall),
 	}
 }
 

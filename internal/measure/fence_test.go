@@ -105,5 +105,5 @@ func TestCollectiveRejectsUnknownKind(t *testing.T) {
 			t.Fatalf("recovered %v, want a panic naming the kind", r)
 		}
 	}()
-	Collective(arch.KNL(), core.Kind("allreduce"), core.TunedBcast, 4<<10, Options{Procs: 4})
+	Collective(arch.KNL(), core.Kind("allreduce"), core.Tuned(core.KindBcast), 4<<10, Options{Procs: 4})
 }

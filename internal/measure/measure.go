@@ -268,16 +268,6 @@ func maxOf(v []float64) float64 {
 	return m
 }
 
-// Sweep measures one algorithm across message sizes and returns latencies
-// in size order.
-func Sweep(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args), sizes []int64, opts Options) []float64 {
-	out := make([]float64, len(sizes))
-	for i, s := range sizes {
-		out[i] = Collective(a, kind, algo, s, opts)
-	}
-	return out
-}
-
 // Sizes builds a power-of-two size ladder [lo, hi]. Degenerate requests
 // come back empty rather than looping or panicking: lo must be
 // positive (a zero or negative lo would never double its way past hi)

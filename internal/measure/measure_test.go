@@ -57,18 +57,6 @@ func TestMaxOfEmpty(t *testing.T) {
 	}
 }
 
-func TestSweepMatchesCollective(t *testing.T) {
-	a := arch.KNL()
-	sizes := []int64{4 << 10, 16 << 10}
-	swept := Sweep(a, core.KindBcast, core.BcastKnomialRead(5), sizes, Options{Procs: 8})
-	for i, sz := range sizes {
-		single := Collective(a, core.KindBcast, core.BcastKnomialRead(5), sz, Options{Procs: 8})
-		if swept[i] != single {
-			t.Fatalf("sweep[%d]=%g != single %g", i, swept[i], single)
-		}
-	}
-}
-
 func TestItersAveragingIsStable(t *testing.T) {
 	// Iterations are near-identical: the only variation is the residual
 	// arrival skew ranks carry out of the separating barrier, worth well

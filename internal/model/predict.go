@@ -1,7 +1,5 @@
 package model
 
-import "fmt"
-
 // Predictor evaluates the closed-form algorithm costs of §IV–§V for one
 // architecture and process count.
 type Predictor struct {
@@ -241,9 +239,4 @@ func (pr *Predictor) ReduceKnomial(eta int64, k int) float64 {
 	}
 	perChild := pr.P.Alpha + float64(eta)*pr.P.Beta + pr.P.L*pr.P.Pages(eta) + pr.combine(eta) + pr.Sm.Notify
 	return pr.Sm.Allgather + 2*pr.memcpy(eta) + float64(levels*(k-1))*perChild + pr.Sm.Bcast
-}
-
-// Describe returns a short label for debugging output.
-func (pr *Predictor) Describe() string {
-	return fmt.Sprintf("%s p=%d α=%.3f β=%.3g l=%.3f", pr.P.Arch.Name, pr.Procs, pr.P.Alpha, pr.P.Beta, pr.P.L)
 }

@@ -19,7 +19,6 @@ import (
 	"camc/internal/liveness"
 	"camc/internal/shm"
 	"camc/internal/sim"
-	"camc/internal/tenant"
 	"camc/internal/trace"
 )
 
@@ -69,13 +68,6 @@ type Config struct {
 	// path, added to every γ(c) sample (kernel.Node.SetAmbient). 0
 	// keeps the single-tenant model.
 	Ambient int
-
-	// Tenant, when non-nil, registers the communicator's node with a
-	// machine-wide tenant registry (internal/tenant): co-located
-	// communicators sharing one simulation then interfere through the
-	// shared mm-lock pressure and memory system. The workload scenario
-	// generator is the main client.
-	Tenant *tenant.Job
 
 	// Fault, when non-nil and active, attaches a deterministic
 	// fault-injection plan to the node: CMA ops can fail transiently or
@@ -293,7 +285,6 @@ func New(cfg Config) *Comm {
 	node.DigestPayload = cfg.Sparse
 	node.SetMechanism(cfg.Mechanism)
 	node.SetAmbient(cfg.Ambient)
-	node.SetTenant(cfg.Tenant)
 	if cfg.ChunkPages != 0 {
 		node.ChunkPages = cfg.ChunkPages
 	}

@@ -104,58 +104,6 @@ func (k Key) less(o Key) bool {
 	return k.X < o.X
 }
 
-// Agg is the per-key aggregate produced by Group.
-type Agg struct {
-	Key   Key
-	Count int
-	Min   float64
-	Max   float64
-	Sum   float64
-	Last  float64 // highest-Seq value
-	Unit  string
-}
-
-// Mean is Sum/Count.
-func (a Agg) Mean() float64 {
-	if a.Count == 0 {
-		return 0
-	}
-	return a.Sum / float64(a.Count)
-}
-
-// Group aggregates records by cell key, ordered by key. Run records
-// (empty keys aside) participate like any other record, so callers
-// normally group a Select with Type: TypeCell.
-func Group(recs []Record) []Agg {
-	byKey := map[Key]*Agg{}
-	for _, r := range recs {
-		k := KeyOf(r)
-		a := byKey[k]
-		if a == nil {
-			a = &Agg{Key: k, Min: r.Value, Max: r.Value, Unit: r.Unit}
-			byKey[k] = a
-		}
-		a.Count++
-		a.Sum += r.Value
-		a.Last = r.Value
-		if r.Value < a.Min {
-			a.Min = r.Value
-		}
-		if r.Value > a.Max {
-			a.Max = r.Value
-		}
-		if a.Unit == "" {
-			a.Unit = r.Unit
-		}
-	}
-	out := make([]Agg, 0, len(byKey))
-	for _, a := range byKey {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.less(out[j].Key) })
-	return out
-}
-
 // Delta is one cell compared between a baseline and a head run.
 type Delta struct {
 	Key  Key

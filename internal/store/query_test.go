@@ -99,36 +99,6 @@ func TestFilterPushdown(t *testing.T) {
 	}
 }
 
-func TestGroupAggregates(t *testing.T) {
-	st, _, _ := seedCorpus(t, filepath.Join(t.TempDir(), "q.store"), 1, "")
-	defer st.Close()
-	cells, err := st.Select(Filter{Type: TypeCell})
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := Group(cells)
-	if len(groups) != 18 { // identical runs collapse per key
-		t.Fatalf("%d groups, want 18", len(groups))
-	}
-	for _, g := range groups {
-		if g.Count != 2 {
-			t.Fatalf("key %v: count %d, want 2 (one per run)", g.Key, g.Count)
-		}
-		if g.Min != g.Max || g.Mean() != g.Last {
-			t.Fatalf("key %v: identical runs should aggregate flat: %+v", g.Key, g)
-		}
-		if g.Unit != "us" {
-			t.Fatalf("key %v: unit %q", g.Key, g.Unit)
-		}
-	}
-	// Ordered by key.
-	for i := 1; i < len(groups); i++ {
-		if !groups[i-1].Key.less(groups[i].Key) {
-			t.Fatalf("groups unordered at %d", i)
-		}
-	}
-}
-
 func TestDeltaIdenticalRunsPass(t *testing.T) {
 	st, base, head := seedCorpus(t, filepath.Join(t.TempDir(), "q.store"), 1, "")
 	defer st.Close()

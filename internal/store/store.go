@@ -393,9 +393,6 @@ func (s *Store) Close() error {
 // Len is the number of live records (all types).
 func (s *Store) Len() int { return s.nrec }
 
-// Dir is the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Segments is the number of segment files.
 func (s *Store) Segments() int { return len(s.segs) }
 

@@ -44,9 +44,6 @@ func (h *Host) Join(name string) *Job {
 	return j
 }
 
-// Jobs returns the registered jobs in join order.
-func (h *Host) Jobs() []*Job { return h.jobs }
-
 // Pressure returns the machine-wide live page-lock holder count: the
 // sum over every job plus the static background.
 func (h *Host) Pressure() int {

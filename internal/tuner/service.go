@@ -2,15 +2,13 @@
 // plan cache. A production MPI launcher asks "which algorithm for this
 // (arch, ranks, kind, size) under the machine's current co-tenant
 // pressure?" and the service answers from a tuned table it built once
-// per cache key — re-tuning in batches when the observed ambient
-// pressure drifts away from what a table was tuned for.
+// per cache key.
 package tuner
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -69,10 +67,9 @@ type PlanResponse struct {
 
 // Stats counts cache traffic since the service started.
 type Stats struct {
-	Hits    int64 `json:"hits"`    // answered from a tuned table
-	Misses  int64 `json:"misses"`  // triggered a fresh Autotune
-	Shared  int64 `json:"shared"`  // waited on another request's in-flight tune
-	Retunes int64 `json:"retunes"` // tables rebuilt by drift-triggered Retune
+	Hits   int64 `json:"hits"`   // answered from a tuned table
+	Misses int64 `json:"misses"` // triggered a fresh Autotune
+	Shared int64 `json:"shared"` // waited on another request's in-flight tune
 }
 
 // ServiceConfig tunes the Service itself.
@@ -80,23 +77,9 @@ type ServiceConfig struct {
 	// ProbeSizes and Jobs are forwarded into each Autotune Config.
 	ProbeSizes []int64
 	Jobs       int
-	// DriftThreshold marks a table dirty once |EWMA(ambient) - tuned
-	// ambient| reaches it (default 2 holders).
-	DriftThreshold float64
-	// Alpha is the ambient EWMA smoothing factor in (0, 1]; default 0.3.
-	Alpha float64
 	// Tune overrides the tuning function (tests instrument it to count
 	// and serialize real tuning work). Default Autotune.
 	Tune func(a *arch.Profile, cfg Config) *Table
-}
-
-type cacheEntry struct {
-	tab *Table
-	// tunedAmbient is the raw ambient value the table was built at
-	// (starts as the bucket representative, tracks retunes after).
-	tunedAmbient int
-	ewma         float64
-	seen         bool
 }
 
 type flight struct {
@@ -107,31 +90,24 @@ type flight struct {
 
 // Service is a concurrent, always-on tuning oracle: a tuned-plan cache
 // keyed by (arch, ranks, kind, ambient bucket) with single-flight
-// de-duplication of concurrent misses and batched re-tuning on ambient
-// drift. Safe for concurrent use.
+// de-duplication of concurrent misses. Safe for concurrent use.
 type Service struct {
 	cfg ServiceConfig
 
 	mu       sync.Mutex
-	cache    map[PlanKey]*cacheEntry
+	cache    map[PlanKey]*Table
 	inflight map[PlanKey]*flight
 	stats    Stats
 }
 
 // NewService builds a Service. cfg may be zero-valued.
 func NewService(cfg ServiceConfig) *Service {
-	if cfg.DriftThreshold <= 0 {
-		cfg.DriftThreshold = 2
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = 0.3
-	}
 	if cfg.Tune == nil {
 		cfg.Tune = Autotune
 	}
 	return &Service{
 		cfg:      cfg,
-		cache:    map[PlanKey]*cacheEntry{},
+		cache:    map[PlanKey]*Table{},
 		inflight: map[PlanKey]*flight{},
 	}
 }
@@ -177,10 +153,8 @@ func (s *Service) Plan(req PlanRequest) (PlanResponse, error) {
 	key := PlanKey{Arch: prof.Name, Procs: req.Procs, Kind: req.Kind, Bucket: AmbientBucket(req.Ambient)}
 
 	s.mu.Lock()
-	if e, ok := s.cache[key]; ok {
+	if tab, ok := s.cache[key]; ok {
 		s.stats.Hits++
-		s.observeLocked(e, req.Ambient)
-		tab := e.tab
 		s.mu.Unlock()
 		return s.respond(tab, req, key, true), nil
 	}
@@ -191,11 +165,6 @@ func (s *Service) Plan(req PlanRequest) (PlanResponse, error) {
 		if f.err != nil {
 			return PlanResponse{}, f.err
 		}
-		s.mu.Lock()
-		if e, ok := s.cache[key]; ok {
-			s.observeLocked(e, req.Ambient)
-		}
-		s.mu.Unlock()
 		return s.respond(f.tab, req, key, true), nil
 	}
 	s.stats.Misses++
@@ -203,13 +172,11 @@ func (s *Service) Plan(req PlanRequest) (PlanResponse, error) {
 	s.inflight[key] = f
 	s.mu.Unlock()
 
-	f.tab, f.err = s.tune(key, key.Bucket)
+	f.tab, f.err = s.tune(key)
 	s.mu.Lock()
 	delete(s.inflight, key)
 	if f.err == nil {
-		e := &cacheEntry{tab: f.tab, tunedAmbient: key.Bucket}
-		s.observeLocked(e, req.Ambient)
-		s.cache[key] = e
+		s.cache[key] = f.tab
 	}
 	s.mu.Unlock()
 	close(f.done)
@@ -219,7 +186,8 @@ func (s *Service) Plan(req PlanRequest) (PlanResponse, error) {
 	return s.respond(f.tab, req, key, false), nil
 }
 
-func (s *Service) tune(key PlanKey, ambient int) (tab *Table, err error) {
+// tune builds key's table at its ambient bucket's representative.
+func (s *Service) tune(key PlanKey) (tab *Table, err error) {
 	prof, err := arch.ByName(key.Arch)
 	if err != nil {
 		return nil, err
@@ -233,7 +201,7 @@ func (s *Service) tune(key PlanKey, ambient int) (tab *Table, err error) {
 		Procs:      key.Procs,
 		ProbeSizes: s.cfg.ProbeSizes,
 		Jobs:       s.cfg.Jobs,
-		Ambient:    ambient,
+		Ambient:    key.Bucket,
 		Kinds:      []core.Kind{key.Kind},
 	}), nil
 }
@@ -248,91 +216,6 @@ func (s *Service) respond(tab *Table, req PlanRequest, key PlanKey, cached bool)
 		Bucket:    key.Bucket,
 		Cached:    cached,
 	}
-}
-
-// observeLocked folds one raw ambient reading into the entry's EWMA.
-func (s *Service) observeLocked(e *cacheEntry, ambient int) {
-	if !e.seen {
-		e.ewma, e.seen = float64(ambient), true
-		return
-	}
-	e.ewma = s.cfg.Alpha*float64(ambient) + (1-s.cfg.Alpha)*e.ewma
-}
-
-// dirtyLocked reports whether the entry's observed pressure has drifted
-// past the retune threshold.
-func dirtyLocked(s *Service, e *cacheEntry) bool {
-	d := e.ewma - float64(e.tunedAmbient)
-	if d < 0 {
-		d = -d
-	}
-	return d >= s.cfg.DriftThreshold
-}
-
-// Dirty returns the keys whose observed ambient EWMA has drifted past
-// the threshold since their table was tuned, in deterministic order.
-func (s *Service) Dirty() []PlanKey {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var keys []PlanKey
-	for k, e := range s.cache {
-		if dirtyLocked(s, e) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Arch != b.Arch {
-			return a.Arch < b.Arch
-		}
-		if a.Procs != b.Procs {
-			return a.Procs < b.Procs
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Bucket < b.Bucket
-	})
-	return keys
-}
-
-// Retune rebuilds every dirty table in one batch at the rounded EWMA
-// ambient and swaps the fresh tables in. It returns the number of
-// tables rebuilt. Serving continues from the old tables while the
-// batch runs; camc-tune -serve calls this on a background ticker.
-func (s *Service) Retune() int {
-	keys := s.Dirty()
-	type rebuilt struct {
-		key     PlanKey
-		ambient int
-		tab     *Table
-	}
-	var batch []rebuilt
-	for _, key := range keys {
-		s.mu.Lock()
-		e, ok := s.cache[key]
-		if !ok || !dirtyLocked(s, e) {
-			s.mu.Unlock()
-			continue
-		}
-		target := int(e.ewma + 0.5)
-		s.mu.Unlock()
-		tab, err := s.tune(key, target)
-		if err != nil {
-			continue
-		}
-		batch = append(batch, rebuilt{key, target, tab})
-	}
-	s.mu.Lock()
-	for _, r := range batch {
-		if e, ok := s.cache[r.key]; ok {
-			e.tab = r.tab
-			e.tunedAmbient = r.ambient
-		}
-		s.stats.Retunes++
-	}
-	s.mu.Unlock()
-	return len(batch)
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,14 +25,9 @@ func TestAmbientBucket(t *testing.T) {
 
 // fakeTune builds an instant table whose entry name encodes the tuning
 // inputs, so tests can see exactly what each cache entry was tuned for.
-func fakeTune(calls *int64, ambients *[]int, mu *sync.Mutex) func(a *arch.Profile, cfg Config) *Table {
+func fakeTune(calls *int64) func(a *arch.Profile, cfg Config) *Table {
 	return func(a *arch.Profile, cfg Config) *Table {
 		atomic.AddInt64(calls, 1)
-		if mu != nil {
-			mu.Lock()
-			*ambients = append(*ambients, cfg.Ambient)
-			mu.Unlock()
-		}
 		t := &Table{Arch: a.Name, Procs: cfg.Procs, Entries: map[core.Kind][]Entry{}}
 		for _, k := range cfg.Kinds {
 			t.Entries[k] = []Entry{{MaxSize: math.MaxInt64, Name: "fake", Latency: float64(cfg.Ambient), Probe: 1}}
@@ -44,7 +38,7 @@ func fakeTune(calls *int64, ambients *[]int, mu *sync.Mutex) func(a *arch.Profil
 
 func TestPlanCacheHitMiss(t *testing.T) {
 	var calls int64
-	s := NewService(ServiceConfig{Tune: fakeTune(&calls, nil, nil)})
+	s := NewService(ServiceConfig{Tune: fakeTune(&calls)})
 	req := PlanRequest{Arch: "knl", Kind: core.KindScatter, Size: 1 << 20}
 
 	r1, err := s.Plan(req)
@@ -88,7 +82,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 }
 
 func TestPlanRejectsBadRequests(t *testing.T) {
-	s := NewService(ServiceConfig{Tune: fakeTune(new(int64), nil, nil)})
+	s := NewService(ServiceConfig{Tune: fakeTune(new(int64))})
 	bad := []PlanRequest{
 		{Arch: "nope", Kind: core.KindScatter, Size: 1},
 		{Arch: "knl", Kind: "sort", Size: 1},
@@ -124,7 +118,7 @@ func TestPlanBoundsProcs(t *testing.T) {
 		{"power8", 161, false},
 	} {
 		var tunes int64
-		s := NewService(ServiceConfig{Tune: fakeTune(&tunes, nil, nil)})
+		s := NewService(ServiceConfig{Tune: fakeTune(&tunes)})
 		_, err := s.Plan(PlanRequest{Arch: c.arch, Kind: core.KindScatter, Size: 4096, Procs: c.procs})
 		if (err == nil) != c.ok {
 			t.Errorf("%s procs=%d: err %v, want ok=%v", c.arch, c.procs, err, c.ok)
@@ -146,7 +140,7 @@ func TestSingleFlight(t *testing.T) {
 		atomic.AddInt64(&calls, 1)
 		close(entered)
 		<-gate
-		return fakeTune(new(int64), nil, nil)(a, cfg)
+		return fakeTune(new(int64))(a, cfg)
 	}})
 	req := PlanRequest{Arch: "knl", Kind: core.KindGather, Size: 4 << 10}
 
@@ -195,55 +189,6 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
-// TestRetuneOnDrift: a table tuned at its bucket representative goes
-// dirty once observed ambient drifts past the threshold, and a batched
-// Retune rebuilds it at the drifted value.
-func TestRetuneOnDrift(t *testing.T) {
-	var calls int64
-	var ambients []int
-	var mu sync.Mutex
-	s := NewService(ServiceConfig{Tune: fakeTune(&calls, &ambients, &mu), DriftThreshold: 4})
-
-	// Tune in bucket 8 at raw ambient 6, then hammer it with readings at
-	// the top of the bucket (16): EWMA converges to 16, drift 8 >= 4.
-	req := PlanRequest{Arch: "knl", Kind: core.KindScatter, Size: 1 << 10, Ambient: 6}
-	if _, err := s.Plan(req); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Dirty()) != 0 {
-		t.Fatalf("fresh table already dirty: %v", s.Dirty())
-	}
-	req.Ambient = 16
-	for i := 0; i < 20; i++ {
-		if _, err := s.Plan(req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dirty := s.Dirty()
-	if len(dirty) != 1 || dirty[0].Bucket != 8 {
-		t.Fatalf("dirty = %v, want the bucket-8 scatter key", dirty)
-	}
-	if n := s.Retune(); n != 1 {
-		t.Fatalf("Retune rebuilt %d tables, want 1", n)
-	}
-	mu.Lock()
-	last := ambients[len(ambients)-1]
-	mu.Unlock()
-	if last < 15 || last > 16 {
-		t.Fatalf("retuned at ambient %d, want ~16 (the drifted EWMA)", last)
-	}
-	if len(s.Dirty()) != 0 {
-		t.Fatalf("still dirty after retune: %v", s.Dirty())
-	}
-	if st := s.Stats(); st.Retunes != 1 {
-		t.Fatalf("stats %+v, want 1 retune", st)
-	}
-	// The fresh table serves from cache.
-	if r, err := s.Plan(req); err != nil || !r.Cached || r.Latency != float64(last) {
-		t.Fatalf("post-retune plan %+v err %v, want cached answer from the retuned table", r, err)
-	}
-}
-
 // TestServiceMatchesFreshAutotune is the acceptance check: a cached
 // plan is byte-identical to what a fresh Autotune at the same key
 // produces.
@@ -279,7 +224,7 @@ func TestServiceMatchesFreshAutotune(t *testing.T) {
 
 func TestServiceHTTP(t *testing.T) {
 	var calls int64
-	s := NewService(ServiceConfig{Tune: fakeTune(&calls, nil, nil)})
+	s := NewService(ServiceConfig{Tune: fakeTune(&calls)})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

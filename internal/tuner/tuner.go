@@ -63,24 +63,29 @@ func (t *Table) entriesFor(kind core.Kind) []Entry {
 	return entries
 }
 
+// buckets returns kind's entries as core dispatch buckets.
+func (t *Table) buckets(kind core.Kind) []core.Bucket {
+	entries := t.entriesFor(kind)
+	bs := make([]core.Bucket, len(entries))
+	for i, e := range entries {
+		bs[i] = core.Bucket{MaxSize: e.MaxSize, Name: e.Name, Run: e.run}
+	}
+	return bs
+}
+
 // Collective returns the table-driven implementation of kind: each call
-// dispatches to the bucket covering Args.Count.
+// dispatches to the bucket covering Args.Count through core.Pick, the
+// walk the proposed design's tier table uses.
 func (t *Table) Collective(kind core.Kind) func(r *mpi.Rank, a core.Args) {
-	t.entriesFor(kind)
+	bs := t.buckets(kind)
 	return func(r *mpi.Rank, a core.Args) {
-		t.Lookup(kind, a.Count).run(r, a)
+		bs[core.Pick(bs, a.Count)].Run(r, a)
 	}
 }
 
 // Lookup returns the entry covering size.
 func (t *Table) Lookup(kind core.Kind, size int64) Entry {
-	entries := t.entriesFor(kind)
-	for _, e := range entries {
-		if size <= e.MaxSize {
-			return e
-		}
-	}
-	return entries[len(entries)-1]
+	return t.Entries[kind][core.Pick(t.buckets(kind), size)]
 }
 
 // Fprint renders the table.
@@ -241,29 +246,18 @@ func Kinds() []core.Kind {
 }
 
 // Autotune probes every candidate at every probe size and builds the
-// winning dispatch table. Probing is exact (the simulator is
-// deterministic), so one invocation per (algorithm, size) suffices.
+// winning dispatch table: ProbeWinners' grid, each probe size bounding
+// a bucket and adjacent buckets with the same winner merged. Probing is
+// exact (the simulator is deterministic), so one invocation per
+// (algorithm, size) suffices.
 func Autotune(a *arch.Profile, cfg Config) *Table {
 	cfg = cfg.withDefaults(a)
 	t := &Table{Arch: a.Name, Procs: cfg.Procs, Entries: map[core.Kind][]Entry{}}
 	for _, kind := range cfg.Kinds {
-		cands := Candidates(kind, a)
-		measured := measureKind(a, kind, cands, cfg)
-		var entries []Entry
-		for si, size := range cfg.ProbeSizes {
-			best := 0
-			for ci := range cands {
-				if measured[ci][si] < measured[best][si] {
-					best = ci
-				}
-			}
-			entries = append(entries, Entry{
-				MaxSize: size,
-				Name:    cands[best].Name,
-				Latency: measured[best][si],
-				Probe:   size,
-				run:     cands[best].Run,
-			})
+		cells := ProbeWinners(a, kind, cfg)
+		entries := make([]Entry, len(cells))
+		for i, c := range cells {
+			entries[i] = Entry{MaxSize: c.Size, Name: c.Name, Latency: c.Latency, Probe: c.Size, run: c.run}
 		}
 		// The last bucket extends to infinity.
 		entries[len(entries)-1].MaxSize = math.MaxInt64
@@ -278,13 +272,15 @@ type ProbeCell struct {
 	Size    int64
 	Name    string  // winning algorithm at this probe size
 	Latency float64 // the winner's latency (us)
+
+	run func(*mpi.Rank, core.Args)
 }
 
 // ProbeWinners measures every candidate of one kind at every probe
-// size and returns the per-size winners — the same grid Autotune
-// collapses into buckets, kept at probe granularity so experiments can
-// show exactly where the winning algorithm flips (x13 sweeps this
-// against Config.Ambient).
+// size and returns the per-size winners — the grid Autotune collapses
+// into buckets, kept at probe granularity so experiments can show
+// exactly where the winning algorithm flips (x13 sweeps this against
+// Config.Ambient).
 func ProbeWinners(a *arch.Profile, kind core.Kind, cfg Config) []ProbeCell {
 	cfg = cfg.withDefaults(a)
 	cands := Candidates(kind, a)
@@ -297,7 +293,7 @@ func ProbeWinners(a *arch.Profile, kind core.Kind, cfg Config) []ProbeCell {
 				best = ci
 			}
 		}
-		out[si] = ProbeCell{Size: size, Name: cands[best].Name, Latency: measured[best][si]}
+		out[si] = ProbeCell{Size: size, Name: cands[best].Name, Latency: measured[best][si], run: cands[best].Run}
 	}
 	return out
 }

@@ -164,7 +164,7 @@ func TestTunedDispatchMatchesWinner(t *testing.T) {
 }
 
 func TestAutotunedNeverWorseThanHandTuned(t *testing.T) {
-	// The measured table must match or beat the hand-coded core.Tuned*
+	// The measured table must match or beat the paper's core.Tuned
 	// selections at the probe sizes (it searched a superset).
 	a := arch.KNL()
 	tab := Autotune(a, fastCfg)

@@ -9,7 +9,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"camc/internal/arch"
 	"camc/internal/core"
@@ -232,13 +231,14 @@ func Run(specs []JobSpec, opts Options) (Result, error) {
 				j.res.Ops++
 			}
 		}
+		reduce, bcast, gather := core.Tuned(core.KindReduce), core.Tuned(core.KindBcast), core.Tuned(core.KindGather)
 		j.comm.Start(func(r *mpi.Rank) {
 			args := core.Args{Send: send[r.ID], Recv: recv[r.ID], Count: spec.Size, Root: 0}
 			for it := 0; it < spec.Iters; it++ {
 				switch spec.Class {
 				case ClassTrain:
-					window(r, func() { core.TunedReduce(r, args) })
-					window(r, func() { core.TunedBcast(r, args) })
+					window(r, func() { reduce(r, args) })
+					window(r, func() { bcast(r, args) })
 				case ClassStencil:
 					next := (r.ID + 1) % spec.Ranks
 					prev := (r.ID + spec.Ranks - 1) % spec.Ranks
@@ -246,13 +246,13 @@ func Run(specs []JobSpec, opts Options) (Result, error) {
 						r.Sendrecv(next, send[r.ID], spec.Size, prev, recv[r.ID], spec.Size)
 					})
 				case ClassRPC:
-					window(r, func() { core.TunedBcast(r, args) })
+					window(r, func() { bcast(r, args) })
 					small := args
 					small.Count = spec.Size / 2
 					if small.Count == 0 {
 						small.Count = 1
 					}
-					window(r, func() { core.TunedGather(r, small) })
+					window(r, func() { gather(r, small) })
 				}
 			}
 			if r.ID == 0 {
@@ -283,20 +283,6 @@ func Solo(spec JobSpec, opts Options) (JobResult, error) {
 		return JobResult{}, err
 	}
 	return res.Jobs[0], nil
-}
-
-// Fprint renders a scenario result as a fixed-width table, jobs in
-// name order.
-func (res Result) Fprint(w interface{ Write([]byte) (int, error) }) {
-	jobs := append([]JobResult(nil), res.Jobs...)
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].Name < jobs[k].Name })
-	fmt.Fprintf(w, "%-10s %-8s %6s %6s %12s %12s %8s\n",
-		"job", "class", "ranks", "ops", "mean-op(us)", "end(us)", "peak-amb")
-	for _, j := range jobs {
-		fmt.Fprintf(w, "%-10s %-8s %6d %6d %12.2f %12.2f %8d\n",
-			j.Name, j.Class, j.Ranks, j.Ops, j.MeanLat, j.End, j.PeakAmbient)
-	}
-	fmt.Fprintf(w, "makespan %.2f us\n", res.Makespan)
 }
 
 func maxOf(v []float64) float64 {

@@ -128,18 +128,3 @@ func TestScenarioDeterminism(t *testing.T) {
 		t.Fatalf("trace missing per-job lanes")
 	}
 }
-
-func TestFprint(t *testing.T) {
-	res, err := Run(DefaultMix(8, 1), Options{Arch: arch.Broadwell()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	res.Fprint(&buf)
-	out := buf.String()
-	for _, want := range []string{"train", "stencil", "rpc", "makespan"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
-	}
-}
