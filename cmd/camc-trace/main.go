@@ -184,6 +184,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "%v (use -arch knl, broadwell, or power8)\n", err)
 		return 2
 	}
+	if *procs < 0 || *procs > prof.HWThreads() {
+		fmt.Fprintf(stderr, "-procs %d outside 0..%d, the %s hardware threads (0 = full subscription)\n", *procs, prof.HWThreads(), prof.Name)
+		return 2
+	}
+	if *iters < 1 {
+		fmt.Fprintf(stderr, "-iters %d: need at least one timed invocation\n", *iters)
+		return 2
+	}
 	size, err := parseSize(*sizeF)
 	if err != nil {
 		fmt.Fprintf(stderr, "%v\n", err)

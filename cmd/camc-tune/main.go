@@ -83,6 +83,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		profiles = []*arch.Profile{p}
 	}
+	for _, a := range profiles {
+		if *procs < 0 || *procs > a.HWThreads() {
+			fmt.Fprintf(stderr, "-procs %d outside 0..%d, the %s hardware threads (0 = full subscription)\n", *procs, a.HWThreads(), a.Name)
+			return 2
+		}
+	}
 	sizes, err := parseSizes(*sizesF)
 	if err != nil {
 		fmt.Fprintf(stderr, "%v\nusage: -sizes 4K,64K,1M (bytes with optional K/M suffixes, ascending)\n", err)

@@ -22,6 +22,9 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{"bad_arch", []string{"-arch", "sparc"}, "-arch knl, broadwell, or power8"},
 		{"negative_ambient", []string{"-ambient", "-3"}, "-ambient"},
+		{"negative_procs", []string{"-arch", "knl", "-procs", "-3"}, "-procs -3 outside 0..272"},
+		{"procs_above_threads", []string{"-arch", "power8", "-procs", "161"}, "-procs 161 outside 0..160"},
+		{"procs_above_any_arch", []string{"-procs", "100"}, "-procs 100 outside 0..28, the broadwell"},
 		{"serve_with_store", []string{"-serve", "-store", "x.store"}, "-serve and -store are exclusive"},
 		{"positional_arg", []string{"knl"}, "flags only"},
 		{"undefined_flag", []string{"-frobnicate"}, "flag provided but not defined"},

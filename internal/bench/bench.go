@@ -86,19 +86,6 @@ type Table struct {
 	Notes []string
 }
 
-// Get returns the value at (series name, x index).
-func (t *Table) Get(series string, xi int) (float64, bool) {
-	for _, s := range t.Series {
-		if s.Name == series {
-			if xi < 0 || xi >= len(s.Values) {
-				return 0, false
-			}
-			return s.Values[xi], true
-		}
-	}
-	return 0, false
-}
-
 // Fprint renders the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "## %s\n\n", t.Title)

@@ -593,7 +593,7 @@ func TestRunFormatVariants(t *testing.T) {
 	e, _ := ByID("tab5")
 	for _, f := range []Format{FormatTable, FormatPlot, FormatCSV} {
 		var sb strings.Builder
-		if err := e.RunFormat(&sb, quick, f); err != nil {
+		if err := e.RunFormatSink(&sb, quick, f, nil); err != nil {
 			t.Fatalf("format %d: %v", f, err)
 		}
 		if !strings.Contains(sb.String(), "tab5") {

@@ -136,7 +136,7 @@ func csvEscape(s string) string {
 	return s
 }
 
-// Format selects how Experiment.RunFormat renders tables.
+// Format selects how Experiment.RunFormatSink renders tables.
 type Format int
 
 // Output formats.
@@ -146,14 +146,9 @@ const (
 	FormatCSV
 )
 
-// RunFormat generates the experiment's tables and renders them in the
-// requested format (plots also print the numeric table beneath).
-func (e *Experiment) RunFormat(w io.Writer, o Options, f Format) error {
-	return e.RunFormatSink(w, o, f, nil)
-}
-
-// RunFormatSink runs the experiment like RunFormat and additionally
-// hands every generated table to sink before rendering (nil sink
+// RunFormatSink generates the experiment's tables and renders them in
+// the requested format (plots also print the numeric table beneath),
+// handing every generated table to sink before rendering (nil sink
 // allowed). The sink sees tables in output order, so store appends are
 // deterministic, and recording never changes the printed output.
 func (e *Experiment) RunFormatSink(w io.Writer, o Options, f Format, sink func(Table)) error {

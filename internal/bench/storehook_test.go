@@ -82,7 +82,7 @@ func TestRunFormatSinkTransparent(t *testing.T) {
 		t.Fatal("tab5 not registered")
 	}
 	var plain, sunk bytes.Buffer
-	if err := e.RunFormat(&plain, Options{Quick: true}, FormatTable); err != nil {
+	if err := e.RunFormatSink(&plain, Options{Quick: true}, FormatTable, nil); err != nil {
 		t.Fatal(err)
 	}
 	var tables []Table

@@ -78,7 +78,8 @@ func (c *fakeClock) Now() float64 { return c.t }
 // seededResult builds a RunResult around a scripted recorder.
 func seededResult(procs int, build func(clk *fakeClock, rec *trace.Recorder)) *RunResult {
 	clk := &fakeClock{}
-	rec := trace.New(clk)
+	rec := trace.NewUnbound()
+	rec.Bind(clk)
 	for i := 0; i < procs; i++ {
 		rec.RegisterLane(i, "rank", 100+i)
 	}

@@ -230,9 +230,6 @@ type Rank struct {
 	routeBuf [maxRouteHops]LinkID
 }
 
-// Cluster returns the cluster this rank belongs to.
-func (r *Rank) Cluster() *Cluster { return r.cluster }
-
 // NetSend transmits size bytes starting at addr to world rank dst on
 // another node. On materialized runs the payload travels with the
 // message; dataless runs move cost only.

@@ -212,14 +212,6 @@ func New(cfg Config) *Plan {
 	return &Plan{cfg: cfg, seq: make(map[seqKey]uint64)}
 }
 
-// Config returns the (default-filled) configuration the plan runs.
-func (p *Plan) Config() Config {
-	if p == nil {
-		return Config{}
-	}
-	return p.cfg
-}
-
 // Stats returns the counters accumulated so far.
 func (p *Plan) Stats() Stats {
 	if p == nil {

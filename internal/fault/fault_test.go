@@ -290,7 +290,7 @@ func TestParseKillKeys(t *testing.T) {
 	}
 	// Round trip through String.
 	p := New(cfg)
-	rt, err := Parse(p.Config().String())
+	rt, err := Parse(p.cfg.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestParseErrorsEnumerateVocabulary(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	p := New(Config{Seed: 1, TransientProb: 1})
-	c := p.Config()
+	c := p.cfg
 	if c.MaxRetries != DefaultMaxRetries || c.BackoffBase != DefaultBackoffBase ||
 		c.LockSpikeFactor != DefaultLockSpikeFactor {
 		t.Fatalf("defaults not applied: %+v", c)

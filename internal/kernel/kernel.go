@@ -93,7 +93,6 @@ type Node struct {
 	mechanism     Mechanism
 	xpmemAttached map[xpmemKey]bool
 
-	trace *Trace          // optional breakdown accounting, nil when disabled
 	rec   *trace.Recorder // optional structured event recorder, nil when disabled
 	fault *fault.Plan     // optional fault-injection plan, nil when disabled
 	live  *liveness.Board // optional liveness board, nil when detection is off
@@ -163,15 +162,6 @@ func (n *Node) EffPerByte(base float64) float64 {
 	return base
 }
 
-// EnableTrace starts ftrace-style breakdown accounting and returns the
-// accumulator. When a structured Recorder is also attached, both views
-// are fed from the same record call in vmTransfer, so the aggregate
-// totals and the timeline cannot drift.
-func (n *Node) EnableTrace() *Trace {
-	n.trace = &Trace{}
-	return n.trace
-}
-
 // SetRecorder attaches a structured event recorder to the node and
 // binds it to the node's simulation clock. A nil recorder disables
 // structured tracing (the default); every emission site is nil-guarded,
@@ -205,9 +195,6 @@ func (n *Node) SetLiveness(b *liveness.Board) { n.live = b }
 // detection is disabled).
 func (n *Node) Liveness() *liveness.Board { return n.live }
 
-// Procs returns the processes spawned on this node, in pid order.
-func (n *Node) Procs() []*Process { return n.procs }
-
 // Process is a simulated OS process: an address space plus the mm state
 // CMA contends on.
 type Process struct {
@@ -226,7 +213,8 @@ type Process struct {
 
 // NewProcess creates a process with the given address-space capacity,
 // placed on the socket that block placement assigns to rank
-// len(procs) out of expected total procs. uid 0 is used; see SetUID.
+// len(procs) out of expected total procs. Every process has uid 0, so
+// the CMA permission check passes; the permission tests set another.
 func (n *Node) NewProcess(memLimit int64) *Process {
 	p := &Process{node: n, pid: n.PidBase + 1000 + len(n.procs), memLimit: Addr(memLimit)}
 	// The address space is sparse: pages materialize on first touch, so
@@ -239,15 +227,6 @@ func (n *Node) NewProcess(memLimit int64) *Process {
 
 // PID returns the simulated process id.
 func (p *Process) PID() int { return p.pid }
-
-// UID returns the owner uid used for the CMA permission check.
-func (p *Process) UID() int { return p.uid }
-
-// SetUID changes the owner uid (used to exercise permission failures).
-func (p *Process) SetUID(uid int) { p.uid = uid }
-
-// Socket returns the socket this process is pinned to.
-func (p *Process) Socket() int { return p.socket }
 
 // SetSocket pins the process to a socket.
 func (p *Process) SetSocket(s int) {
@@ -288,10 +267,6 @@ func (p *Process) Bytes(a Addr, n int64) []byte {
 // digests (the node's DigestPayload mode at creation time).
 func (p *Process) PayloadTracked() bool { return p.mem.track }
 
-// InFlight returns the number of CMA operations currently inside this
-// process's locked page loop (the concurrency the contention factor sees).
-func (p *Process) InFlight() int { return p.mmInFlight }
-
 // Breakdown is the per-phase time decomposition of one CMA transfer,
 // mirroring the paper's ftrace categories (Fig 4). Times in microseconds.
 type Breakdown struct {
@@ -305,21 +280,6 @@ type Breakdown struct {
 // Total returns the sum of all phases.
 func (b Breakdown) Total() float64 {
 	return b.Syscall + b.PermCheck + b.Lock + b.Pin + b.Copy
-}
-
-func (b *Breakdown) add(o Breakdown) {
-	b.Syscall += o.Syscall
-	b.PermCheck += o.PermCheck
-	b.Lock += o.Lock
-	b.Pin += o.Pin
-	b.Copy += o.Copy
-}
-
-// Trace accumulates breakdowns across operations.
-type Trace struct {
-	Ops  int
-	Sum  Breakdown
-	MaxC int // highest concurrency observed during lock phases
 }
 
 // PermissionError reports a CMA access denied by the uid check.
@@ -575,10 +535,8 @@ func (n *Node) checkRange(p *Process, a Addr, size int64) error {
 }
 
 // record finalizes one kernel-assisted op: it closes the op's recorder
-// span with the phase breakdown and folds the same Breakdown into the
-// aggregate Trace accumulator. Both accounting views are fed from this
-// single call, so the ftrace-style totals (Fig 4) and the structured
-// timeline cannot drift.
+// span with the phase breakdown, the ftrace-style accounting (Fig 4)
+// that trace.SummarizeCMA totals.
 func (n *Node) record(span trace.SpanID, bd Breakdown, maxC int) {
 	if n.rec != nil {
 		n.rec.End(span,
@@ -586,18 +544,10 @@ func (n *Node) record(span trace.SpanID, bd Breakdown, maxC int) {
 			trace.F("lock", bd.Lock), trace.F("pin", bd.Pin),
 			trace.F("copy", bd.Copy), trace.F("maxc", float64(maxC)))
 	}
-	if n.trace == nil {
-		return
-	}
-	n.trace.Ops++
-	n.trace.Sum.add(bd)
-	if maxC > n.trace.MaxC {
-		n.trace.MaxC = maxC
-	}
 }
 
-// abortSpan closes an op span on an error path that the aggregate
-// accounting has never counted (address-range violations).
+// abortSpan closes an op span on an error path, marked aborted so that
+// trace.SummarizeCMA does not count it (address-range violations).
 func (n *Node) abortSpan(span trace.SpanID, bd Breakdown) {
 	if n.rec != nil {
 		n.rec.End(span,

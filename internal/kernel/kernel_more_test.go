@@ -6,6 +6,7 @@ import (
 
 	"camc/internal/arch"
 	"camc/internal/sim"
+	"camc/internal/trace"
 )
 
 func TestAllocOOMPanics(t *testing.T) {
@@ -62,7 +63,8 @@ func TestTraceMaxConcurrency(t *testing.T) {
 	s := sim.New()
 	n := NewNode(s, arch.KNL())
 	n.CopyData = false
-	tr := n.EnableTrace()
+	rec := trace.NewUnbound()
+	n.SetRecorder(rec)
 	size := int64(64 * 4096)
 	src := n.NewProcess(1 << 26)
 	sa := src.Alloc(size * 8)
@@ -79,6 +81,7 @@ func TestTraceMaxConcurrency(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	tr := trace.SummarizeCMA(rec)
 	if tr.MaxC != 8 {
 		t.Fatalf("trace MaxC = %d, want 8", tr.MaxC)
 	}
@@ -158,10 +161,10 @@ func TestPidsAreStable(t *testing.T) {
 	if p1.PID() == p2.PID() {
 		t.Fatal("duplicate pids")
 	}
-	if len(n.Procs()) != 2 {
-		t.Fatalf("procs = %d", len(n.Procs()))
+	if len(n.procs) != 2 {
+		t.Fatalf("procs = %d", len(n.procs))
 	}
-	if p1.UID() != 0 {
+	if p1.uid != 0 {
 		t.Fatal("default uid non-zero")
 	}
 }
@@ -183,7 +186,7 @@ func TestInFlightVisible(t *testing.T) {
 	})
 	s.Spawn("observer", func(p *sim.Proc) {
 		p.Sleep(20) // mid-transfer
-		seen = src.InFlight()
+		seen = src.mmInFlight
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

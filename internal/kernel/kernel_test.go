@@ -9,6 +9,7 @@ import (
 
 	"camc/internal/arch"
 	"camc/internal/sim"
+	"camc/internal/trace"
 )
 
 func newKNLNode(s *sim.Simulation) *Node { return NewNode(s, arch.KNL()) }
@@ -330,7 +331,7 @@ func TestPermissionDenied(t *testing.T) {
 	n := newKNLNode(s)
 	src := n.NewProcess(1 << 16)
 	dst := n.NewProcess(1 << 16)
-	src.SetUID(42)
+	src.uid = 42
 	sa := src.Alloc(4096)
 	da := dst.Alloc(4096)
 	s.Spawn("r", func(p *sim.Proc) {
@@ -446,7 +447,8 @@ func TestTraceAccumulates(t *testing.T) {
 	s := sim.New()
 	n := newKNLNode(s)
 	n.CopyData = false
-	tr := n.EnableTrace()
+	rec := trace.NewUnbound()
+	n.SetRecorder(rec)
 	src := n.NewProcess(1 << 24)
 	dst := n.NewProcess(1 << 24)
 	sa := src.Alloc(1 << 20)
@@ -461,11 +463,12 @@ func TestTraceAccumulates(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	tr := trace.SummarizeCMA(rec)
 	if tr.Ops != 3 {
 		t.Fatalf("trace ops = %d, want 3", tr.Ops)
 	}
-	if tr.Sum.Copy <= 0 || tr.Sum.Lock <= 0 {
-		t.Fatalf("trace sums not populated: %+v", tr.Sum)
+	if tr.Copy <= 0 || tr.Lock <= 0 {
+		t.Fatalf("trace sums not populated: %+v", tr)
 	}
 	if tr.MaxC != 1 {
 		t.Fatalf("maxC = %d, want 1", tr.MaxC)

@@ -65,9 +65,6 @@ const (
 // SetMechanism switches the node's kernel-assist facility.
 func (n *Node) SetMechanism(m Mechanism) { n.mechanism = m }
 
-// MechanismInUse returns the node's current facility.
-func (n *Node) MechanismInUse() Mechanism { return n.mechanism }
-
 // xpmemKey identifies an attach between two processes.
 type xpmemKey struct{ caller, remote int }
 

@@ -126,7 +126,7 @@ func TestXPMEMDataAndPermissions(t *testing.T) {
 	src := n.NewProcess(1 << 20)
 	dst := n.NewProcess(1 << 20)
 	intruder := n.NewProcess(1 << 20)
-	intruder.SetUID(5)
+	intruder.uid = 5
 	const size = 30000
 	sa := src.Alloc(size)
 	da := dst.Alloc(size)

@@ -144,9 +144,6 @@ func NewBoard(s *sim.Simulation, n int, cfg Config) *Board {
 // Config returns the detector tuning (with defaults applied).
 func (b *Board) Config() Config { return b.cfg }
 
-// Ranks returns the communicator size the board was built for.
-func (b *Board) Ranks() int { return b.n }
-
 // Beat publishes rank's heartbeat at the current instant.
 func (b *Board) Beat(rank int) { b.beats[rank] = b.sim.Now() }
 

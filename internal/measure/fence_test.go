@@ -12,13 +12,14 @@ import (
 	"camc/internal/mpi"
 )
 
-// TestClosedFormFenceMatchesRealFence is the measurement fence's
-// differential test: Collective costs its first entry barrier in closed
-// form and skips its last exit barrier, CollectiveTraced runs both real
-// barriers, and the two latencies must agree bit for bit for every kind
-// and registered algorithm at 1, 2, 3, 8 and the default rank count.
-// A wrong wake order after the closed-form barrier shifts same-instant
-// contention and changes these bits, so the test pins the order too.
+// TestClosedFormFenceMatchesRealFence is the plain path's differential
+// test: Collective costs its first entry barrier and every Allgather64
+// address exchange in closed form and skips its last exit barrier,
+// CollectiveTraced runs the real barriers and exchanges, and the two
+// latencies must agree bit for bit for every kind and registered
+// algorithm at 1, 2, 3, 8 and the default rank count. A wrong wake
+// order after a closed form shifts same-instant contention and changes
+// these bits, so the test pins the order too.
 // Every cell up to 8 ranks, and every hand-picked row below (skewed,
 // multi-iteration and faulted ones included), also runs
 // CollectiveChecked, whose payload-carrying run times through the same
@@ -45,6 +46,31 @@ func TestClosedFormFenceMatchesRealFence(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/%s/p%d", kind, info.Name, a.Name, p)
 				checkFence(t, name, a, kind, al.Run, 32<<10, opts, procs != 0)
 			}
+		}
+	}
+	// Every family that exchanges addresses through Allgather64, at the
+	// default rank count under the node workload's ambient pressures:
+	// Collective costs the exchange in closed form, CollectiveTraced
+	// exchanges its messages, and same-instant lock traffic right after
+	// the exchange's tied exits is where a wrong wake order would show.
+	for _, f := range []struct {
+		kind core.Kind
+		spec string
+	}{
+		{core.KindBcast, "scatter-allgather"}, {core.KindBcast, "knomial-read"}, {core.KindBcast, "knomial-write"},
+		{core.KindAllgather, "ring-source-read"}, {core.KindAllgather, "ring-source-write"},
+		{core.KindAllgather, "ring-neighbor"}, {core.KindAllgather, "recursive-doubling"},
+		{core.KindAllgather, "bruck"}, {core.KindAlltoall, "pairwise-cma-coll"}, {core.KindReduce, "knomial"},
+	} {
+		al, err := core.LookupAlgorithm(f.kind, f.spec)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", f.kind, f.spec, err)
+		}
+		for _, ambient := range []int{8, 32} {
+			a := archs[cell%len(archs)]
+			cell++
+			name := fmt.Sprintf("%s/%s/%s/ambient%d", f.kind, f.spec, a.Name, ambient)
+			checkFence(t, name, a, f.kind, al.Run, 32<<10, Options{Ambient: ambient, Root: a.DefaultProcs / 2}, false)
 		}
 	}
 	al, err := core.LookupAlgorithm(core.KindScatter, "throttled:4")

@@ -744,7 +744,8 @@ func (r *Rank) Gather64(root int, val int64) []int64 {
 	return r.Comm.Shm.Gather64(r.SP, r.ID, root, val)
 }
 
-// Allgather64 gathers one 8-byte value per rank everywhere.
+// Allgather64 gathers one 8-byte value per rank everywhere. The result
+// is read-only: ranks of one call may share it (shm.Transport.Allgather64).
 func (r *Rank) Allgather64(val int64) []int64 {
 	r.killCheck()
 	return r.Comm.Shm.Allgather64(r.SP, r.ID, val)

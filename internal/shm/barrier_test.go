@@ -25,7 +25,7 @@ type barrierRun struct {
 // its closed form. The transport's queues are empty afterwards, so one
 // transport serves both runs.
 func runBarrier(s *sim.Simulation, tr *Transport, closed bool) barrierRun {
-	p := tr.Ranks()
+	p := tr.nranks
 	exit, first := tr.barrierFromZero()
 	out := barrierRun{exit: exit, first: first, exits: make([]float64, p)}
 	for i := 0; i < p; i++ {

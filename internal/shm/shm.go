@@ -62,6 +62,7 @@ type Transport struct {
 	lazy     map[int64]*sim.Chan[message] // sparse, keyed src*nranks+dst
 	lanes    []int                        // trace lane per rank (nil = identity)
 	boardIDs []int                        // liveness board slot per rank (nil = identity)
+	ag       *agRendezvous                // closed-form Allgather64 record, built on first use
 }
 
 // New creates a transport among nranks processes of node. It creates no
@@ -118,9 +119,6 @@ func (t *Transport) bid(i int) int {
 	}
 	return t.boardIDs[i]
 }
-
-// Ranks returns the number of ranks the transport connects.
-func (t *Transport) Ranks() int { return t.nranks }
 
 func (t *Transport) queue(src, dst int) *sim.Chan[message] {
 	if src < 0 || src >= t.nranks || dst < 0 || dst >= t.nranks {

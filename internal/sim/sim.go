@@ -55,6 +55,8 @@ type Simulation struct {
 	// hot path stay allocation-free in steady state.
 	procFree  []*Proc
 	timerFree []*timer
+
+	lin lineage // closed forms' virtual wakes, and the lines they are ordered by
 }
 
 // blockedOn labels for deadlock diagnostics, interned as package
@@ -94,14 +96,8 @@ type Proc struct {
 	recvWaiter any
 }
 
-// ID returns the process's spawn index.
-func (p *Proc) ID() int { return p.id }
-
 // Name returns the process's diagnostic name.
 func (p *Proc) Name() string { return p.name }
-
-// Sim returns the simulation this process belongs to.
-func (p *Proc) Sim() *Simulation { return p.sim }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
@@ -143,6 +139,9 @@ func (s *Simulation) scheduleTimer(p *Proc, at Time) *timer {
 	}
 	s.seq++
 	s.events.push(event{t: at, seq: s.seq, p: p, tm: tm})
+	if s.lin.pending > 0 {
+		s.lin.scheduled(s, at)
+	}
 	return tm
 }
 
@@ -226,6 +225,9 @@ func (h *eventHeap) pop() event {
 func (s *Simulation) schedule(p *Proc, at Time) {
 	s.seq++
 	s.events.push(event{t: at, seq: s.seq, p: p})
+	if s.lin.pending > 0 {
+		s.lin.scheduled(s, at)
+	}
 }
 
 func (s *Simulation) popEvent() event { return s.events.pop() }
@@ -239,6 +241,14 @@ func (s *Simulation) popEvent() event { return s.events.pop() }
 // running process may call it.
 func (s *Simulation) dispatchNext(self *Proc) (own bool) {
 	for {
+		if len(s.lin.wakes) > 0 && s.wakeFirst() {
+			p := s.runWake()
+			if p == self {
+				return true
+			}
+			s.next = p
+			return false
+		}
 		if len(s.events) == 0 {
 			return false
 		}
@@ -261,6 +271,9 @@ func (s *Simulation) dispatchNext(self *Proc) (own bool) {
 		}
 		s.now = e.t
 		s.processed++
+		if s.lin.pending > 0 {
+			s.lin.ran(s, e.seq)
+		}
 		e.p.blockedOn = ""
 		if e.p == self {
 			return true
@@ -385,6 +398,7 @@ func (s *Simulation) Reset() {
 	}
 	s.procs = s.procs[:0]
 	s.now, s.seq, s.processed = 0, 0, 0
+	s.lin.reset()
 }
 
 // DeadlockError reports that the event heap drained while processes were
@@ -461,6 +475,10 @@ func (p *Proc) block(why string) {
 // wake schedules a blocked process to resume at time at.
 func (p *Proc) wake(at Time) { p.sim.schedule(p, at) }
 
+// Park blocks the calling process with no scheduled wake-up until a
+// WakeVirtual on it runs; why labels the wait in deadlock diagnostics.
+func (p *Proc) Park(why string) { p.block(why) }
+
 // Sleep advances the process's virtual time by d microseconds. d must be
 // non-negative; Sleep(0) yields to other processes scheduled at the same
 // instant.
@@ -475,7 +493,10 @@ func (p *Proc) Sleep(d Time) {
 	// dispatch would pick this process again — advance the clock in
 	// place. This is the dominant dispatch pattern in the kernel's
 	// chunked copy loops.
-	if len(s.events) == 0 || t < s.events[0].t {
+	if (len(s.events) == 0 || t < s.events[0].t) && (len(s.lin.wakes) == 0 || t < s.lin.wakes[0].t) {
+		if s.lin.pending > 0 {
+			s.lin.continued(s, t)
+		}
 		s.now = t
 		s.processed++
 		return

@@ -21,15 +21,6 @@ func (m *Mutex) Lock(p *Proc) {
 	// Ownership was transferred to us by Unlock; m.held stays true.
 }
 
-// TryLock acquires the mutex if it is free.
-func (m *Mutex) TryLock() bool {
-	if m.held {
-		return false
-	}
-	m.held = true
-	return true
-}
-
 // Locked reports whether the mutex is currently held.
 func (m *Mutex) Locked() bool { return m.held }
 

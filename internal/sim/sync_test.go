@@ -2,18 +2,16 @@ package sim
 
 import "testing"
 
-func TestMutexTryLockAndState(t *testing.T) {
+func TestMutexLockAndState(t *testing.T) {
 	s := New()
 	m := NewMutex(s)
 	s.Spawn("a", func(p *Proc) {
 		if m.Locked() {
 			t.Error("fresh mutex locked")
 		}
-		if !m.TryLock() {
-			t.Error("TryLock on free mutex failed")
-		}
-		if m.TryLock() {
-			t.Error("TryLock on held mutex succeeded")
+		m.Lock(p) // free: acquired without blocking
+		if p.Now() != 0 {
+			t.Errorf("Lock on a free mutex blocked until %v", p.Now())
 		}
 		if !m.Locked() {
 			t.Error("held mutex reports unlocked")
@@ -87,17 +85,17 @@ func TestProcAccessors(t *testing.T) {
 	var id int
 	var name string
 	p := s.Spawn("myproc", func(p *Proc) {
-		id = p.ID()
+		id = p.id
 		name = p.Name()
-		if p.Sim() != s {
-			t.Error("Sim() mismatch")
+		if p.sim != s {
+			t.Error("sim mismatch")
 		}
 		p.Yield()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if id != p.ID() || name != "myproc" {
+	if id != p.id || name != "myproc" {
 		t.Fatalf("accessors: id=%d name=%q", id, name)
 	}
 }

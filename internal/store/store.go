@@ -393,9 +393,6 @@ func (s *Store) Close() error {
 // Len is the number of live records (all types).
 func (s *Store) Len() int { return s.nrec }
 
-// Segments is the number of segment files.
-func (s *Store) Segments() int { return len(s.segs) }
-
 // Runs returns the TypeRun records in append order.
 func (s *Store) Runs() []Record {
 	out := make([]Record, len(s.runs))

@@ -126,8 +126,8 @@ func TestSegmentRollAndAlignment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.Segments() < 3 {
-		t.Fatalf("expected multiple segments, got %d", st.Segments())
+	if len(st.segs) < 3 {
+		t.Fatalf("expected multiple segments, got %d", len(st.segs))
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestMidLogCorruptionRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.Segments() < 2 {
+	if len(st.segs) < 2 {
 		t.Fatal("need at least two segments")
 	}
 	if err := st.Close(); err != nil {

@@ -373,9 +373,7 @@ func Utilizations(rec *Recorder) []RankUtil {
 }
 
 // CMASummary aggregates the per-op kernel phase breakdowns recorded on
-// CMA spans — the same totals kernel.Trace accumulates, derived from
-// the timeline so the two cannot drift (they are emitted by the same
-// record call in the kernel).
+// CMA spans: the ftrace-style totals of the paper's Fig 4.
 type CMASummary struct {
 	Ops     int
 	Syscall float64
@@ -384,11 +382,6 @@ type CMASummary struct {
 	Pin     float64
 	Copy    float64
 	MaxC    int
-}
-
-// Total returns the summed phase time.
-func (s CMASummary) Total() float64 {
-	return s.Syscall + s.Perm + s.Lock + s.Pin + s.Copy
 }
 
 // SummarizeCMA folds every closed CMA span into phase totals.
@@ -404,7 +397,7 @@ func SummarizeCMA(rec *Recorder) CMASummary {
 			continue
 		}
 		if _, aborted := e.Arg("aborted"); aborted {
-			continue // address-range violation: the aggregate never counts these
+			continue // address-range violation: not an op
 		}
 		out.Ops++
 		add := func(key string, dst *float64) {

@@ -119,7 +119,7 @@ func TestChromeExport(t *testing.T) {
 
 func TestChromeSkipsOpenSpans(t *testing.T) {
 	clk := &fakeClock{}
-	rec := New(clk)
+	rec := newRecorder(clk)
 	rec.RegisterLane(0, "rank 0", 1000)
 	clk.t = 1
 	rec.Begin(0, CatColl, "left-open")
@@ -134,7 +134,7 @@ func TestChromeSkipsOpenSpans(t *testing.T) {
 
 func TestChromePseudoLanePid(t *testing.T) {
 	clk := &fakeClock{}
-	rec := New(clk)
+	rec := newRecorder(clk)
 	// An event on an unregistered pseudo-lane (negative) must export
 	// with a non-negative pid.
 	rec.Instant(-1007, CatLock, "mm_lock_acquire")

@@ -96,14 +96,6 @@ type Event struct {
 	Args []Arg
 }
 
-// Dur returns the span duration (0 for non-spans).
-func (e *Event) Dur() float64 {
-	if e.Kind != KindSpan && e.Kind != KindEdge {
-		return 0
-	}
-	return e.End - e.Start
-}
-
 // Arg returns the named annotation and whether it is present.
 func (e *Event) Arg(key string) (float64, bool) {
 	for _, a := range e.Args {
@@ -144,11 +136,6 @@ type Recorder struct {
 	events []Event
 	lanes  []Lane
 	byPid  map[int]int // pid -> lane id
-}
-
-// New returns a Recorder reading virtual time from clock.
-func New(clock Clock) *Recorder {
-	return &Recorder{clock: clock, byPid: map[int]int{}}
 }
 
 // NewUnbound returns a Recorder with no clock; it must be bound (by

@@ -8,6 +8,13 @@ type fakeClock struct{ t float64 }
 
 func (c *fakeClock) Now() float64 { return c.t }
 
+// newRecorder returns a recorder bound to clk.
+func newRecorder(clk Clock) *Recorder {
+	rec := NewUnbound()
+	rec.Bind(clk)
+	return rec
+}
+
 func TestNilRecorderIsSafe(t *testing.T) {
 	var rec *Recorder
 	if rec.Enabled() {
@@ -32,7 +39,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestBeginEndSpan(t *testing.T) {
 	clk := &fakeClock{}
-	rec := New(clk)
+	rec := newRecorder(clk)
 	if !rec.Enabled() {
 		t.Fatal("recorder not enabled")
 	}
@@ -48,7 +55,7 @@ func TestBeginEndSpan(t *testing.T) {
 	if e.Kind != KindSpan || e.Cat != CatCMA || e.Name != "vm_read" || e.Lane != 3 {
 		t.Fatalf("bad span event %+v", e)
 	}
-	if e.Start != 2.5 || e.End != 7.25 || e.Dur() != 4.75 {
+	if e.Start != 2.5 || e.End != 7.25 || e.End-e.Start != 4.75 {
 		t.Fatalf("span interval [%v,%v]", e.Start, e.End)
 	}
 	if v, ok := e.Arg("bytes"); !ok || v != 4096 {
@@ -60,7 +67,7 @@ func TestBeginEndSpan(t *testing.T) {
 }
 
 func TestEndOfOpenSpanOnly(t *testing.T) {
-	rec := New(&fakeClock{})
+	rec := newRecorder(&fakeClock{})
 	id := rec.Begin(0, CatColl, "x")
 	rec.End(id)
 	defer func() {
@@ -73,7 +80,7 @@ func TestEndOfOpenSpanOnly(t *testing.T) {
 
 func TestEdgeSemantics(t *testing.T) {
 	clk := &fakeClock{t: 10}
-	rec := New(clk)
+	rec := newRecorder(clk)
 	// Receiver waited: message became ready after the wait started.
 	rec.Edge(1, 2, CatShm, "notify", 9.0, 10.5, 10.0, 10.6)
 	// Receiver did not wait: ready before the wait started.
@@ -92,7 +99,7 @@ func TestEdgeSemantics(t *testing.T) {
 }
 
 func TestLaneRegistration(t *testing.T) {
-	rec := New(&fakeClock{})
+	rec := newRecorder(&fakeClock{})
 	rec.RegisterLane(0, "rank 0", 1000)
 	rec.RegisterLane(5, "rank 5", 1005)
 	if got := rec.LaneForPid(1005); got != 5 {
@@ -130,7 +137,7 @@ func TestBindRules(t *testing.T) {
 
 func TestCounterEvent(t *testing.T) {
 	clk := &fakeClock{t: 3}
-	rec := New(clk)
+	rec := newRecorder(clk)
 	rec.Counter(2, CatLock, "mm_inflight", 4)
 	e := rec.Events()[0]
 	if e.Kind != KindCounter || e.Value != 4 || e.Start != 3 || e.Lane != 2 {

@@ -73,16 +73,6 @@ func (t *Table) buckets(kind core.Kind) []core.Bucket {
 	return bs
 }
 
-// Collective returns the table-driven implementation of kind: each call
-// dispatches to the bucket covering Args.Count through core.Pick, the
-// walk the proposed design's tier table uses.
-func (t *Table) Collective(kind core.Kind) func(r *mpi.Rank, a core.Args) {
-	bs := t.buckets(kind)
-	return func(r *mpi.Rank, a core.Args) {
-		bs[core.Pick(bs, a.Count)].Run(r, a)
-	}
-}
-
 // Lookup returns the entry covering size.
 func (t *Table) Lookup(kind core.Kind, size int64) Entry {
 	return t.Entries[kind][core.Pick(t.buckets(kind), size)]

@@ -13,6 +13,16 @@ import (
 	"camc/internal/mpi"
 )
 
+// Collective returns the table-driven implementation of kind: each call
+// dispatches to the bucket covering Args.Count through core.Pick, as
+// Lookup does. The tests time a table's choices through it.
+func (t *Table) Collective(kind core.Kind) func(r *mpi.Rank, a core.Args) {
+	bs := t.buckets(kind)
+	return func(r *mpi.Rank, a core.Args) {
+		bs[core.Pick(bs, a.Count)].Run(r, a)
+	}
+}
+
 // fastCfg keeps autotune runs quick in tests.
 var fastCfg = Config{ProbeSizes: []int64{4 << 10, 64 << 10, 1 << 20}}
 
