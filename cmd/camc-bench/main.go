@@ -68,6 +68,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *jobs < 0 {
+		fmt.Fprintf(stderr, "negative -j %d (worker goroutines; 0 = GOMAXPROCS)\n", *jobs)
+		return 2
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {

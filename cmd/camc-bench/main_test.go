@@ -105,6 +105,7 @@ func TestUsageErrors(t *testing.T) {
 		{"bad_fault_value", []string{"-run", "x8", "-faults", "partial=high"}, "usage: -faults"},
 		{"bad_kill_value", []string{"-run", "x9", "-faults", "kill=lots"}, "usage: -faults"},
 		{"negative_deadline", []string{"-run", "x9", "-deadline", "-100"}, "-deadline"},
+		{"negative_jobs", []string{"-run", "tab5", "-j", "-2"}, "negative -j -2"},
 		{"no_experiments", []string{}, "Usage"},
 		{"undefined_flag", []string{"-frobnicate"}, "flag provided but not defined"},
 		{"duplicate_run", []string{"-run", "fig7,tab5,fig7"}, "duplicate experiment"},

@@ -66,6 +66,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unexpected argument %q (camc-tune takes flags only)\n", fs.Arg(0))
 		return 2
 	}
+	if *jobs < 0 {
+		fmt.Fprintf(stderr, "negative -j %d (worker goroutines; 0 = GOMAXPROCS)\n", *jobs)
+		return 2
+	}
 	if *ambient < 0 {
 		fmt.Fprintf(stderr, "negative -ambient %d (lock holders; 0 = idle machine)\n", *ambient)
 		return 2

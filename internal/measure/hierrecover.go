@@ -131,7 +131,7 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	sends2 := make([][]byte, world)
 	var sh *cluster.Shrunk
 
-	done, runErr := cl.Run(func(r *cluster.Rank) {
+	_, runErr := cl.Run(func(r *cluster.Rank) {
 		w := r.World
 		localErr := r.Protected(func() {
 			r.WorldBarrier(world)
@@ -184,23 +184,11 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	if runErr != nil {
 		return res, runErr
 	}
-	_ = done
 	res.Events = cl.Sim.EventsProcessed()
 
-	// Coherence: every survivor must hold the same verdict.
-	var verdict error
-	first := true
-	for w := 0; w < world; w++ {
-		if !survived[w] {
-			continue
-		}
-		if first {
-			verdict, first = agreedErr[w], false
-			continue
-		}
-		if !sameVerdict(verdict, agreedErr[w]) {
-			return res, fmt.Errorf("measure: incoherent cluster verdicts: %v vs %v", agreedErr[w], verdict)
-		}
+	verdict, err := agreedVerdict(agreedErr, survived)
+	if err != nil {
+		return res, err
 	}
 	res.FirstLatency = maxWhere(attemptEnds, survived) - maxWhere(starts, survived)
 	res.Err = verdict

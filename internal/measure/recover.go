@@ -3,6 +3,7 @@ package measure
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"camc/internal/arch"
 	"camc/internal/core"
@@ -172,21 +173,9 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 	}
 
 	res := RecoveryResult{Algorithm: algo.Name, Survivors: procs, Stats: plan.Stats()}
-	// Coherence: every survivor must hold the same verdict.
-	var verdict error
-	first := true
-	for r := 0; r < procs; r++ {
-		if !survived[r] {
-			continue
-		}
-		if first {
-			verdict, first = agreedErr[r], false
-			continue
-		}
-		if !sameVerdict(verdict, agreedErr[r]) {
-			return res, fmt.Errorf("measure: incoherent verdicts: rank has %v, another has %v",
-				agreedErr[r], verdict)
-		}
+	verdict, err := agreedVerdict(agreedErr, survived)
+	if err != nil {
+		return res, err
 	}
 	res.FirstLatency = maxWhere(attemptEnds, survived) - maxWhere(starts, survived)
 	res.Err = verdict
@@ -217,6 +206,27 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 	return res, verifyComm(shrunk, kind, newRoot, count, sends2[:shrunk.Size()], recv2)
 }
 
+// agreedVerdict returns the verdict the survivors agreed on. Every
+// survivor must hold the same one; a survivor that disagrees with the
+// first is an error.
+func agreedVerdict(agreed []error, survived []bool) (error, error) {
+	var verdict error
+	first := true
+	for r, v := range agreed {
+		if !survived[r] {
+			continue
+		}
+		if first {
+			verdict, first = v, false
+			continue
+		}
+		if !sameVerdict(verdict, v) {
+			return nil, fmt.Errorf("measure: incoherent verdicts: rank %d has %v, an earlier survivor has %v", r, v, verdict)
+		}
+	}
+	return verdict, nil
+}
+
 // sameVerdict reports whether two agreed verdicts are equal: both nil,
 // or both *PeerDeadError over the same rank set.
 func sameVerdict(a, b error) bool {
@@ -228,15 +238,7 @@ func sameVerdict(a, b error) bool {
 	if !oka || !okb {
 		return a == b
 	}
-	if len(pa.Ranks) != len(pb.Ranks) {
-		return false
-	}
-	for i := range pa.Ranks {
-		if pa.Ranks[i] != pb.Ranks[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(pa.Ranks, pb.Ranks)
 }
 
 // maxWhere returns the max of v over the indices where ok is true.

@@ -12,6 +12,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"camc/internal/arch"
 	"camc/internal/fault"
@@ -491,7 +492,7 @@ func (r *Rank) Shrink(failed []int) *Rank {
 	c := r.Comm
 	if c.shrunk == nil {
 		c.buildShrunk(failed)
-	} else if !equalRankSet(c.shrunkFailed, failed) {
+	} else if !slices.Equal(c.shrunkFailed, failed) {
 		panic(fmt.Sprintf("mpi: Shrink disagreement: rank %d shrinks on %v, communicator shrunk on %v (agreement missing?)",
 			r.ID, failed, c.shrunkFailed))
 	}
@@ -581,18 +582,6 @@ func (c *Comm) buildShrunk(failed []int) {
 	}
 	c.shrunk = nc
 	c.shrunkFailed = append([]int(nil), failed...)
-}
-
-func equalRankSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Barrier synchronizes all ranks (dissemination barrier over shared
