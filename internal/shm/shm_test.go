@@ -39,18 +39,6 @@ func TestCtlRoundtrip(t *testing.T) {
 	}
 }
 
-func TestCtlTagMismatchPanics(t *testing.T) {
-	s, _, tr, _ := fixture(2, false)
-	s.Spawn("sender", func(p *sim.Proc) { tr.SendCtl(p, 0, 1, 7, 1) })
-	s.Spawn("receiver", func(p *sim.Proc) { tr.RecvCtl(p, 0, 1, 8) })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected tag-mismatch panic")
-		}
-	}()
-	_ = s.Run()
-}
-
 func TestDataTransferMovesBytes(t *testing.T) {
 	s, _, tr, procs := fixture(2, true)
 	const size = 100000 // spans many cells
