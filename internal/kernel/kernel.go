@@ -22,6 +22,7 @@ package kernel
 
 import (
 	"fmt"
+	"sync"
 
 	"camc/internal/arch"
 	"camc/internal/fault"
@@ -316,7 +317,6 @@ func (n *Node) vmTransfer(sp *sim.Proc, caller *Process, callerAddr Addr, remote
 		}
 		return bd, size, nil
 	}
-	var bd Breakdown
 	a := n.Arch
 
 	// Structured tracing: one span per CMA op on the caller's lane,
@@ -337,187 +337,329 @@ func (n *Node) vmTransfer(sp *sim.Proc, caller *Process, callerAddr Addr, remote
 
 	// Phase 1: syscall entry, plus the descriptor management the
 	// module-based mechanisms (KNEM/LiMIC) add on the control path.
-	bd.Syscall = a.Alpha*a.SyscallFrac + n.mechanism.extraCost()
-	sp.Sleep(bd.Syscall)
-	if remoteBytes <= 0 {
-		n.record(span, bd, 0)
-		return bd, 0, nil
-	}
+	// The rest of the op runs as a stepper the dispatcher advances
+	// between its sleeps (see cmaOp).
+	op := getCMAOp()
+	*op = cmaOp{n: n, sp: sp, caller: caller, remote: remote,
+		callerAddr: callerAddr, remoteAddr: remoteAddr,
+		localBytes: localBytes, remoteBytes: remoteBytes, read: read,
+		span: span, callerLane: callerLane, remoteLane: remoteLane}
+	op.bd.Syscall = a.Alpha*a.SyscallFrac + n.mechanism.extraCost()
+	sp.SleepSteps(op.bd.Syscall, op)
+	bd, copied, err := op.bd, op.copied, op.err
+	putCMAOp(op)
+	return bd, copied, err
+}
 
-	// Injected transient failure: the syscall bails right after entry
-	// (get_user_pages hitting mm pressure), consuming the entry cost but
-	// moving nothing. Callers treat it like EAGAIN and retry.
-	if n.fault.Transient(caller.pid, remote.pid) {
-		if n.rec != nil {
-			n.rec.Instant(callerLane, trace.CatFault, "fault_eagain",
-				trace.F("peer", float64(remoteLane)))
+// cmaOp is one CMA transfer past syscall entry, as a sim.Stepper: each
+// Step runs the phase due at the current instant and returns the next
+// sleep, so an op costs its process's coroutine one suspension however
+// many chunks it walks.
+type cmaOp struct {
+	n                       *Node
+	sp                      *sim.Proc
+	caller, remote          *Process
+	callerAddr, remoteAddr  Addr
+	localBytes, remoteBytes int64
+	read                    bool
+	span                    trace.SpanID
+	callerLane, remoteLane  int
+
+	phase              cmaPhase
+	copyBytes, copied  int64
+	pages, chunk, page int64
+	cp, pg, todo       int64 // this chunk's pages, its next locked page, its copy bytes
+	lockCost, pinCost  float64
+	socketMult, spike  float64
+	lockStart          sim.Time
+	maxC               int
+
+	bd  Breakdown
+	err error
+}
+
+// cmaPhase names the sleep a cmaOp is in: the next Step runs what
+// follows it.
+type cmaPhase uint8
+
+const (
+	phEntry    cmaPhase = iota // syscall entry
+	phPerm                     // permission check
+	phArrive                   // the Yield after joining the in-flight set
+	phLockPin                  // a chunk's lock and pin (the pin alone under EmergentLock)
+	phCopy                     // a chunk's copy
+	phPageWait                 // parked on the EmergentLock mutex
+	phPageHeld                 // one page's hold of the EmergentLock mutex
+)
+
+// cmaOps is the process-wide free list of op states. Simulations on
+// parallel goroutines share it, hence the mutex; a list per node would
+// allocate afresh for every node a cluster builds.
+var cmaOps struct {
+	sync.Mutex
+	free []*cmaOp
+}
+
+// maxFreeCMAOps caps the free list, so a run with many ops in flight at
+// once does not pin their states for the rest of the process.
+const maxFreeCMAOps = 1024
+
+func getCMAOp() *cmaOp {
+	cmaOps.Lock()
+	if n := len(cmaOps.free); n > 0 {
+		op := cmaOps.free[n-1]
+		cmaOps.free = cmaOps.free[:n-1]
+		cmaOps.Unlock()
+		return op
+	}
+	cmaOps.Unlock()
+	return new(cmaOp)
+}
+
+func putCMAOp(op *cmaOp) {
+	*op = cmaOp{}
+	cmaOps.Lock()
+	if len(cmaOps.free) < maxFreeCMAOps {
+		cmaOps.free = append(cmaOps.free, op)
+	}
+	cmaOps.Unlock()
+}
+
+// Step runs the phase that follows the op's current sleep.
+func (o *cmaOp) Step() sim.Time {
+	n, a := o.n, o.n.Arch
+	switch o.phase {
+	case phEntry:
+		if o.remoteBytes <= 0 {
+			n.record(o.span, o.bd, 0)
+			return sim.StepDone
 		}
-		n.abortSpan(span, bd)
-		return bd, 0, &TransientError{CallerPID: caller.pid, TargetPID: remote.pid}
+		// Injected transient failure: the syscall bails right after
+		// entry (get_user_pages hitting mm pressure), consuming the
+		// entry cost but moving nothing. Callers treat it like EAGAIN
+		// and retry.
+		if n.fault.Transient(o.caller.pid, o.remote.pid) {
+			if n.rec != nil {
+				n.rec.Instant(o.callerLane, trace.CatFault, "fault_eagain",
+					trace.F("peer", float64(o.remoteLane)))
+			}
+			n.abortSpan(o.span, o.bd)
+			o.err = &TransientError{CallerPID: o.caller.pid, TargetPID: o.remote.pid}
+			return sim.StepDone
+		}
+		// Phase 2: permission check (CMA uses the ptrace access model;
+		// the simulation reduces it to a uid match).
+		o.bd.PermCheck = a.Alpha * (1 - a.SyscallFrac)
+		o.phase = phPerm
+		return o.bd.PermCheck
+	case phPerm:
+		return o.admit()
+	case phArrive:
+		o.maxC = o.remote.mmInFlight + n.ambientPressure()
+		return o.nextChunk()
+	case phLockPin:
+		return o.lockReleased()
+	case phCopy:
+		n.EndCopy()
+		if o.read {
+			movePayload(o.caller, o.callerAddr+Addr(o.copied), o.remote, o.remoteAddr+Addr(o.copied), o.todo)
+		} else {
+			movePayload(o.remote, o.remoteAddr+Addr(o.copied), o.caller, o.callerAddr+Addr(o.copied), o.todo)
+		}
+		o.copied += o.todo
+		return o.chunkDone()
+	case phPageWait:
+		// Unlock handed the mutex over: hold it for this page.
+		o.phase = phPageHeld
+		return o.lockCost * o.spike
+	case phPageHeld:
+		o.remote.mmLock.Unlock()
+		o.pg++
+		return o.lockPage()
 	}
+	panic(fmt.Sprintf("kernel: CMA op in unknown phase %d", o.phase))
+}
 
-	// Phase 2: permission check (CMA uses the ptrace access model; the
-	// simulation reduces it to a uid match).
-	bd.PermCheck = a.Alpha * (1 - a.SyscallFrac)
-	sp.Sleep(bd.PermCheck)
-	if caller.uid != remote.uid {
-		n.record(span, bd, 0)
-		return bd, 0, &PermissionError{CallerPID: caller.pid, TargetPID: remote.pid}
+// admit runs the checks after the permission check's sleep and, if the
+// op may proceed, joins the remote mm's in-flight set.
+func (o *cmaOp) admit() sim.Time {
+	n, a := o.n, o.n.Arch
+	if o.caller.uid != o.remote.uid {
+		n.record(o.span, o.bd, 0)
+		o.err = &PermissionError{CallerPID: o.caller.pid, TargetPID: o.remote.pid}
+		return sim.StepDone
 	}
-
-	copyBytes := localBytes
-	if remoteBytes < copyBytes {
-		copyBytes = remoteBytes
+	o.copyBytes = min64(o.localBytes, o.remoteBytes)
+	if err := n.checkRange(o.remote, o.remoteAddr, o.remoteBytes); err != nil {
+		n.abortSpan(o.span, o.bd)
+		o.err = err
+		return sim.StepDone
 	}
-	if err := n.checkRange(remote, remoteAddr, remoteBytes); err != nil {
-		n.abortSpan(span, bd)
-		return bd, 0, err
-	}
-	if copyBytes > 0 {
-		if err := n.checkRange(caller, callerAddr, copyBytes); err != nil {
-			n.abortSpan(span, bd)
-			return bd, 0, err
+	if o.copyBytes > 0 {
+		if err := n.checkRange(o.caller, o.callerAddr, o.copyBytes); err != nil {
+			n.abortSpan(o.span, o.bd)
+			o.err = err
+			return sim.StepDone
 		}
 	}
-
-	pages := int64(a.Pages(int(remoteBytes)))
-	chunk := int64(n.ChunkPages)
-	if chunk <= 0 {
-		chunk = DefaultChunkPages
+	o.pages = int64(a.Pages(int(o.remoteBytes)))
+	o.chunk = int64(n.ChunkPages)
+	if o.chunk <= 0 {
+		o.chunk = DefaultChunkPages
 	}
-	pageSize := int64(a.PageSize)
-	lockCost := a.LockPin * a.LockFrac
-	pinCost := a.LockPin * (1 - a.LockFrac)
+	o.lockCost = a.LockPin * a.LockFrac
+	o.pinCost = a.LockPin * (1 - a.LockFrac)
 	// Cross-socket copies pay the interconnect penalty on top of
 	// whatever rate the shared memory system grants: the QPI/X-bus hop
 	// costs extra even when the node is bandwidth-bound.
-	socketMult := 1.0
-	if caller.socket != remote.socket {
-		socketMult = a.InterSocketBW
+	o.socketMult = 1.0
+	if o.caller.socket != o.remote.socket {
+		o.socketMult = a.InterSocketBW
 	}
 
 	// Phase 3-5: per-chunk lock, pin, copy. The op counts itself in the
 	// remote mm's in-flight set (and the machine-wide tenant set) for
-	// the whole loop; γ is re-sampled per chunk so overlapping
+	// the whole chunk walk; γ is re-sampled per chunk so overlapping
 	// transfers — same-job and co-tenant alike — see each other.
-	remote.mmInFlight++
+	o.remote.mmInFlight++
 	n.job.EnterLock()
 	if n.rec != nil {
-		n.rec.Counter(remoteLane, trace.CatLock, trace.CounterInFlight, float64(remote.mmInFlight))
+		n.rec.Counter(o.remoteLane, trace.CatLock, trace.CounterInFlight, float64(o.remote.mmInFlight))
 	}
 	// Let transfers arriving at this same instant register before γ is
 	// first sampled: without this, simultaneous arrivals would see a
 	// staggered ramp that exists only as a scheduling-order artifact.
-	sp.Yield()
-	maxC := remote.mmInFlight + n.ambientPressure()
-	copied := int64(0)
-	for page := int64(0); page < pages; page += chunk {
-		cp := chunk
-		if pages-page < cp {
-			cp = pages - page
-		}
-		// The contention the lock sees is the local mm fan-in plus the
-		// ambient pressure of the machine's other tenants at this
-		// instant (re-sampled per chunk, like the fan-in itself).
-		c := remote.mmInFlight + n.ambientPressure()
-		if c > maxC {
-			maxC = c
-		}
-		// mm-lock acquire/release instants are emitted at the chunk
-		// granularity — the same granularity γ is sampled at.
-		if n.rec != nil {
-			n.rec.Instant(remoteLane, trace.CatLock, "mm_lock_acquire",
-				trace.F("holder", float64(callerLane)), trace.F("pages", float64(cp)), trace.F("c", float64(c)))
-		}
-		// Injected mm-lock stall spike: the holder hits a page-table walk
-		// or direct-reclaim stall, inflating this chunk's lock cost.
-		spike := n.fault.LockSpike(caller.pid, remote.pid)
-		if spike > 1 && n.rec != nil {
-			n.rec.Instant(remoteLane, trace.CatFault, "fault_lock_spike",
-				trace.F("holder", float64(callerLane)), trace.F("factor", spike))
-		}
-		if n.EmergentLock {
-			// Explicit FIFO mm lock: acquire once per page, hold for the
-			// lock portion of l. Wait time is emergent queueing delay.
-			if remote.mmLock == nil {
-				remote.mmLock = sim.NewMutex(n.Sim)
-			}
-			if n.rec != nil {
-				depth := remote.mmLock.Waiters()
-				if remote.mmLock.Locked() {
-					depth++
-				}
-				n.rec.Counter(remoteLane, trace.CatLock, trace.CounterQueue, float64(depth))
-			}
-			lockStart := n.Sim.Now()
-			for pg := int64(0); pg < cp; pg++ {
-				remote.mmLock.Lock(sp)
-				sp.Sleep(lockCost * spike)
-				remote.mmLock.Unlock()
-			}
-			bd.Lock += n.Sim.Now() - lockStart
-			pt := float64(cp) * pinCost
-			bd.Pin += pt
-			sp.Sleep(pt)
-		} else {
-			gamma := a.Gamma(c)
-			if n.rec != nil {
-				n.rec.Instant(callerLane, trace.CatCMA, "gamma",
-					trace.F("gamma", gamma), trace.F("c", float64(c)), trace.F("page", float64(page)))
-			}
-			lt := float64(cp) * lockCost * gamma * spike
-			pt := float64(cp) * pinCost
-			bd.Lock += lt
-			bd.Pin += pt
-			sp.Sleep(lt + pt)
-		}
-		if n.rec != nil {
-			n.rec.Instant(remoteLane, trace.CatLock, "mm_lock_release",
-				trace.F("holder", float64(callerLane)))
-		}
+	o.phase = phArrive
+	return 0
+}
 
-		// Copy the bytes that fall inside this chunk of remote pages.
-		chunkBytes := cp * pageSize
-		if page*pageSize+chunkBytes > remoteBytes {
-			chunkBytes = remoteBytes - page*pageSize
-		}
-		todo := chunkBytes
-		if copied+todo > copyBytes {
-			todo = copyBytes - copied
-		}
-		if todo > 0 {
-			n.BeginCopy()
-			ct := float64(todo) * n.EffPerByte(a.Beta()) * socketMult
-			bd.Copy += ct
-			sp.Sleep(ct)
-			n.EndCopy()
-			if read {
-				movePayload(caller, callerAddr+Addr(copied), remote, remoteAddr+Addr(copied), todo)
-			} else {
-				movePayload(remote, remoteAddr+Addr(copied), caller, callerAddr+Addr(copied), todo)
-			}
-			copied += todo
-		}
-
-		// Injected short completion: the syscall returns after this chunk
-		// (memory pressure truncating the iovec walk). It only fires while
-		// chunks remain, so injection never turns an already-complete
-		// transfer into a short one.
-		if page+chunk < pages && n.fault.PartialCut(caller.pid, remote.pid) {
-			if n.rec != nil {
-				n.rec.Instant(callerLane, trace.CatFault, "fault_partial",
-					trace.F("peer", float64(remoteLane)), trace.F("completed", float64(copied)))
-			}
-			break
-		}
+// nextChunk starts the chunk at o.page, or leaves the in-flight set
+// once every page is walked.
+func (o *cmaOp) nextChunk() sim.Time {
+	if o.page >= o.pages {
+		return o.exit()
 	}
-	remote.mmInFlight--
+	n, a := o.n, o.n.Arch
+	o.cp = min64(o.chunk, o.pages-o.page)
+	// The contention the lock sees is the local mm fan-in plus the
+	// ambient pressure of the machine's other tenants at this instant
+	// (re-sampled per chunk, like the fan-in itself).
+	c := o.remote.mmInFlight + n.ambientPressure()
+	if c > o.maxC {
+		o.maxC = c
+	}
+	// mm-lock acquire/release instants are emitted at the chunk
+	// granularity — the same granularity γ is sampled at.
+	if n.rec != nil {
+		n.rec.Instant(o.remoteLane, trace.CatLock, "mm_lock_acquire",
+			trace.F("holder", float64(o.callerLane)), trace.F("pages", float64(o.cp)), trace.F("c", float64(c)))
+	}
+	// Injected mm-lock stall spike: the holder hits a page-table walk
+	// or direct-reclaim stall, inflating this chunk's lock cost.
+	o.spike = n.fault.LockSpike(o.caller.pid, o.remote.pid)
+	if o.spike > 1 && n.rec != nil {
+		n.rec.Instant(o.remoteLane, trace.CatFault, "fault_lock_spike",
+			trace.F("holder", float64(o.callerLane)), trace.F("factor", o.spike))
+	}
+	if n.EmergentLock {
+		// Explicit FIFO mm lock: acquire once per page, hold for the
+		// lock portion of l. Wait time is emergent queueing delay.
+		if o.remote.mmLock == nil {
+			o.remote.mmLock = sim.NewMutex(n.Sim)
+		}
+		if n.rec != nil {
+			depth := o.remote.mmLock.Waiters()
+			if o.remote.mmLock.Locked() {
+				depth++
+			}
+			n.rec.Counter(o.remoteLane, trace.CatLock, trace.CounterQueue, float64(depth))
+		}
+		o.lockStart = n.Sim.Now()
+		o.pg = 0
+		return o.lockPage()
+	}
+	gamma := a.Gamma(c)
+	if n.rec != nil {
+		n.rec.Instant(o.callerLane, trace.CatCMA, "gamma",
+			trace.F("gamma", gamma), trace.F("c", float64(c)), trace.F("page", float64(o.page)))
+	}
+	lt := float64(o.cp) * o.lockCost * gamma * o.spike
+	pt := float64(o.cp) * o.pinCost
+	o.bd.Lock += lt
+	o.bd.Pin += pt
+	o.phase = phLockPin
+	return lt + pt
+}
+
+// lockPage takes the EmergentLock mutex for the chunk's next page, or
+// pins the chunk once every page has held it.
+func (o *cmaOp) lockPage() sim.Time {
+	if o.pg == o.cp {
+		o.bd.Lock += o.n.Sim.Now() - o.lockStart
+		pt := float64(o.cp) * o.pinCost
+		o.bd.Pin += pt
+		o.phase = phLockPin
+		return pt
+	}
+	if !o.remote.mmLock.Acquire(o.sp) {
+		o.phase = phPageWait
+		return sim.StepPark
+	}
+	o.phase = phPageHeld
+	return o.lockCost * o.spike
+}
+
+// lockReleased releases the chunk's mm lock and copies the bytes that
+// fall inside the chunk's remote pages.
+func (o *cmaOp) lockReleased() sim.Time {
+	n := o.n
+	if n.rec != nil {
+		n.rec.Instant(o.remoteLane, trace.CatLock, "mm_lock_release",
+			trace.F("holder", float64(o.callerLane)))
+	}
+	pageSize := int64(n.Arch.PageSize)
+	chunkBytes := o.cp * pageSize
+	if o.page*pageSize+chunkBytes > o.remoteBytes {
+		chunkBytes = o.remoteBytes - o.page*pageSize
+	}
+	o.todo = min64(chunkBytes, o.copyBytes-o.copied)
+	if o.todo <= 0 {
+		return o.chunkDone()
+	}
+	n.BeginCopy()
+	ct := float64(o.todo) * n.EffPerByte(n.Arch.Beta()) * o.socketMult
+	o.bd.Copy += ct
+	o.phase = phCopy
+	return ct
+}
+
+// chunkDone moves on to the next chunk, unless an injected short
+// completion ends the syscall here (memory pressure truncating the
+// iovec walk). The cut only fires while chunks remain, so injection
+// never turns an already-complete transfer into a short one.
+func (o *cmaOp) chunkDone() sim.Time {
+	n := o.n
+	if o.page+o.chunk < o.pages && n.fault.PartialCut(o.caller.pid, o.remote.pid) {
+		if n.rec != nil {
+			n.rec.Instant(o.callerLane, trace.CatFault, "fault_partial",
+				trace.F("peer", float64(o.remoteLane)), trace.F("completed", float64(o.copied)))
+		}
+		return o.exit()
+	}
+	o.page += o.chunk
+	return o.nextChunk()
+}
+
+// exit leaves the remote mm's in-flight set and closes the op's span.
+func (o *cmaOp) exit() sim.Time {
+	n := o.n
+	o.remote.mmInFlight--
 	n.job.ExitLock()
 	if n.rec != nil {
-		n.rec.Counter(remoteLane, trace.CatLock, trace.CounterInFlight, float64(remote.mmInFlight))
+		n.rec.Counter(o.remoteLane, trace.CatLock, trace.CounterInFlight, float64(o.remote.mmInFlight))
 	}
-	n.record(span, bd, maxC)
-	return bd, copied, nil
+	n.record(o.span, o.bd, o.maxC)
+	return sim.StepDone
 }
 
 func min64(a, b int64) int64 {

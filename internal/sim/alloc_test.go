@@ -208,3 +208,34 @@ func TestChanPingPongReusesWaiters(t *testing.T) {
 		t.Errorf("ping-pong cycle of %d rounds allocates %v, want 0", rounds, allocs)
 	}
 }
+
+// TestSleepStepsAllocs: a warm Reset+Spawn+Run cycle of 16 contending
+// processes, each running a 64-sleep stepper, allocates nothing, like
+// the same cycle written as Sleep loops.
+func TestSleepStepsAllocs(t *testing.T) {
+	const procs, sleeps = 16, 64
+	s := New()
+	names := make([]string, procs)
+	bodies := make([]func(*Proc), procs)
+	for p := 0; p < procs; p++ {
+		st := &cycleStepper{p: p, n: sleeps}
+		names[p] = fmt.Sprintf("p%d", p)
+		bodies[p] = func(sp *Proc) {
+			st.k = 0
+			sp.SleepSteps(st.sleep(), st)
+		}
+	}
+	cycle := func() {
+		s.Reset()
+		for p := 0; p < procs; p++ {
+			s.Spawn(names[p], bodies[p])
+		}
+		if err := s.Run(); err != nil {
+			panic(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("contended stepper cycle allocates %v, want 0", allocs)
+	}
+}

@@ -32,6 +32,39 @@ func BenchmarkDispatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.EventsProcessed()), "ns/event")
 }
 
+// cycleStepper runs BenchmarkDispatch's sleep sequence for process p
+// as a Stepper: its k-th sleep is 1 + (p + k mod 64) mod 3, until n
+// sleeps have run.
+type cycleStepper struct{ p, k, n int }
+
+func (st *cycleStepper) sleep() Time { return float64(1 + (st.p+st.k%64)%3) }
+
+func (st *cycleStepper) Step() Time {
+	if st.k++; st.k == st.n {
+		return StepDone
+	}
+	return st.sleep()
+}
+
+// BenchmarkDispatchSteps is BenchmarkDispatch with each process's
+// sleeps run as a Stepper: the same events in the same order, but the
+// dispatcher calls the steps itself, so a contended sleep costs no
+// coroutine switch.
+func BenchmarkDispatchSteps(b *testing.B) {
+	const procs, sleeps = 16, 64
+	b.ReportAllocs()
+	s := New()
+	for p := 0; p < procs; p++ {
+		st := &cycleStepper{p: p, n: b.N * sleeps}
+		s.Spawn(fmt.Sprintf("p%d", p), func(sp *Proc) { sp.SleepSteps(st.sleep(), st) })
+	}
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.EventsProcessed()), "ns/event")
+}
+
 // BenchmarkDispatchSelfWake measures the dominant pattern of the kernel
 // hot path: one process advancing through a long run of sleeps with no
 // competing event, the case the optimised scheduler short-circuits.

@@ -14,11 +14,15 @@
 // processes is a runtime coroutine switch rather than a channel send and
 // a goroutine park, coroutines come from a process-wide pool of idle
 // workers so a spawn starts no goroutine and regrows no stack in steady
-// state, and the dominant self-wake Sleep pattern — no pending event
-// before the sleeper's own wake-up — advances the clock in place with no
-// heap or coroutine traffic at all. None of this changes virtual-time
-// results or dispatch counts; TestDispatcherRegression pins that
-// equivalence.
+// state, and a sleep with no pending event before its own wake-up
+// advances the clock in place with no heap or coroutine traffic at all.
+// A run of sleeps known as a state machine — the kernel's CMA op, one
+// lock+pin and one copy sleep per page chunk — goes through SleepSteps:
+// Run calls its steps at each of the process's wake-ups on its own
+// stack, so a contended op costs its coroutine one switch in and one
+// out, not two per sleep. None of this changes virtual-time results or
+// dispatch counts; TestDispatcherRegression and
+// TestSleepStepsMatchesSleep pin that equivalence.
 //
 // Virtual time is a float64 measured in microseconds, matching the unit
 // the reproduced paper reports.
@@ -94,6 +98,9 @@ type Proc struct {
 	// recvWaiter is the *recvWaiter[T] the process parks with in a
 	// blocking Chan receive, kept for its next one (see waiterOf).
 	recvWaiter any
+	// steps is the Stepper Run drives while the coroutine waits in
+	// SleepSteps; nil otherwise.
+	steps Stepper
 }
 
 // Name returns the process's diagnostic name.
@@ -418,7 +425,9 @@ func (e *DeadlockError) Error() string {
 //
 // Run is the driver loop: it resumes the process each dispatch picks,
 // and that process runs until it blocks or ends, dispatching the next
-// event before it suspends. When Run fails it stops the coroutine of
+// event before it suspends. A process waiting in SleepSteps is not
+// resumed at its wake-ups: Run calls its Stepper instead, and resumes
+// it once the stepper is done. When Run fails it stops the coroutine of
 // every unfinished process, so a failed simulation strands no goroutine.
 func (s *Simulation) Run() error {
 	if s.running {
@@ -429,7 +438,9 @@ func (s *Simulation) Run() error {
 	s.dispatchNext(nil)
 	for p := s.next; p != nil; p = s.next {
 		s.next = nil
-		p.resume()
+		if p.steps == nil || s.runSteps(p) {
+			p.resume()
+		}
 		if q := s.panicked; q != nil {
 			v := s.panicVal
 			s.panicked, s.panicVal = nil, nil
@@ -457,6 +468,7 @@ func (s *Simulation) Run() error {
 // discarded rather than pooled.
 func (s *Simulation) halt() {
 	for _, p := range s.procs {
+		p.steps = nil
 		if w := p.w; w != nil {
 			w.halt()
 			p.w = nil
@@ -483,6 +495,15 @@ func (p *Proc) Park(why string) { p.block(why) }
 // non-negative; Sleep(0) yields to other processes scheduled at the same
 // instant.
 func (p *Proc) Sleep(d Time) {
+	if !p.sleepFor(d) {
+		p.w.suspend()
+	}
+}
+
+// sleepFor schedules p's wake-up d from now and dispatches the next
+// event. It reports true when that event is p's own, so p keeps
+// running; otherwise the event's process is in s.next and p must wait.
+func (p *Proc) sleepFor(d Time) (own bool) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %g", d))
 	}
@@ -491,19 +512,93 @@ func (p *Proc) Sleep(d Time) {
 	// Fast path: no pending event precedes our wake-up (ties go to the
 	// earlier-scheduled event, which any pending event is), so the
 	// dispatch would pick this process again — advance the clock in
-	// place. This is the dominant dispatch pattern in the kernel's
-	// chunked copy loops.
+	// place: a sleeper with the node to itself, say, between the
+	// collectives' synchronisation points.
 	if (len(s.events) == 0 || t < s.events[0].t) && (len(s.lin.wakes) == 0 || t < s.lin.wakes[0].t) {
 		if s.lin.pending > 0 {
 			s.lin.continued(s, t)
 		}
 		s.now = t
 		s.processed++
-		return
+		return true
 	}
 	s.schedule(p, t)
 	p.blockedOn = blockedSleep
-	p.yieldToken()
+	return s.dispatchNext(p)
+}
+
+// Stepper is a run of sleeps a process hands the dispatcher with
+// SleepSteps, as a state machine: the dispatcher calls Step at each of
+// the process's wake-ups, so the run costs the process's coroutine one
+// suspension and one resumption however many sleeps it takes.
+type Stepper interface {
+	// Step runs the work due at the current instant and returns what
+	// the process does next: sleep that many microseconds (≥ 0) and
+	// Step again, StepPark once Mutex.Acquire has queued it, or
+	// StepDone.
+	Step() Time
+}
+
+// Step outcomes other than a sleep.
+const (
+	StepDone Time = -1 // the run is over; the process's body continues
+	StepPark Time = -2 // wait with no event until a Mutex hand-off wakes the process
+)
+
+// SleepSteps sleeps d, then runs st until a Step returns StepDone.
+// Every sleep and park takes exactly the path Sleep and Mutex.Lock
+// take — the same in-place fast path, event schedule and dispatch
+// count — so virtual time, event order and EventsProcessed are those
+// of the same run written as a Sleep loop. A step due at the
+// process's own next event runs inline; once another process's event
+// comes first, the coroutine suspends and Run drives the remaining
+// steps on its own stack, resuming the process when st is done. A
+// panicking step is re-raised by Run as the process's panic.
+func (p *Proc) SleepSteps(d Time, st Stepper) {
+	if !p.advance(d, st) {
+		p.steps = st
+		p.w.suspend()
+	}
+}
+
+// advance acts on Step outcome d and keeps stepping st while p stays
+// the running process. It reports true once st is done, and false
+// when p must wait for a later event (which s.next then names).
+func (p *Proc) advance(d Time, st Stepper) bool {
+	for {
+		switch d {
+		case StepDone:
+			return true
+		case StepPark:
+			if !p.sim.dispatchNext(p) {
+				return false
+			}
+		default:
+			if !p.sleepFor(d) {
+				return false
+			}
+		}
+		d = st.Step()
+	}
+}
+
+// runSteps runs the stepper of p, whose wake-up Run has just popped, on
+// Run's stack. It reports true once the stepper is done and p's
+// coroutine is to resume; a panicking step is recorded for Run to
+// re-raise as p's panic.
+func (s *Simulation) runSteps(p *Proc) (done bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicked, s.panicVal = p, r
+			done = false
+		}
+	}()
+	st := p.steps
+	if !p.advance(st.Step(), st) {
+		return false
+	}
+	p.steps = nil
+	return true
 }
 
 // Yield lets other processes scheduled at the current instant run.

@@ -12,13 +12,24 @@ func NewMutex(s *Simulation) *Mutex { return &Mutex{sim: s} }
 
 // Lock acquires the mutex, blocking in virtual time while it is held.
 func (m *Mutex) Lock(p *Proc) {
+	if !m.Acquire(p) {
+		p.yieldToken()
+		// Ownership was transferred to us by Unlock; m.held stays true.
+	}
+}
+
+// Acquire takes the mutex for p and reports true if it was free.
+// Otherwise it queues p as a waiter and reports false: p must then wait
+// with no event, as a Stepper does by returning StepPark, until
+// Unlock's hand-off wakes it holding the mutex.
+func (m *Mutex) Acquire(p *Proc) bool {
 	if !m.held {
 		m.held = true
-		return
+		return true
 	}
 	m.waiters.push(p)
-	p.block(blockedMutex)
-	// Ownership was transferred to us by Unlock; m.held stays true.
+	p.blockedOn = blockedMutex
+	return false
 }
 
 // Locked reports whether the mutex is currently held.

@@ -70,6 +70,53 @@ func TestFailedRunStrandsNoGoroutine(t *testing.T) {
 			wantBlocked: []string{"holder: chan recv", "waiter: mutex lock"},
 		},
 		{
+			name: "deadlock with a stepper parked on a mutex",
+			build: func(s *Simulation) {
+				c := NewChan[int](s, 0)
+				m := NewMutex(s)
+				s.Spawn("holder", func(p *Proc) { m.Lock(p); c.Recv(p) })
+				s.Spawn("stepper", func(p *Proc) {
+					p.SleepSteps(1, stepFunc(func() Time {
+						if !m.Acquire(p) {
+							return StepPark
+						}
+						return StepDone
+					}))
+				})
+			},
+			wantBlocked: []string{"holder: chan recv", "stepper: mutex lock"},
+		},
+		{
+			name: "step panic on Run's stack",
+			build: func(s *Simulation) {
+				s.Spawn("ticker", func(p *Proc) {
+					for i := 0; i < 10; i++ {
+						p.Sleep(0.5)
+					}
+				})
+				s.Spawn("boom", func(p *Proc) {
+					steps := 0
+					p.SleepSteps(1, stepFunc(func() Time {
+						if steps++; steps == 3 {
+							panic("step failed")
+						}
+						return 1
+					}))
+				})
+			},
+			wantPanic: `process "boom" panicked: step failed`,
+		},
+		{
+			name: "step panic inline",
+			build: func(s *Simulation) {
+				s.Spawn("sleeper", func(p *Proc) { p.Sleep(5) })
+				s.Spawn("boom", func(p *Proc) {
+					p.SleepSteps(1, stepFunc(func() Time { panic("step failed") }))
+				})
+			},
+			wantPanic: `process "boom" panicked: step failed`,
+		},
+		{
 			name: "body panic",
 			build: func(s *Simulation) {
 				s.Spawn("boom", func(p *Proc) { p.Sleep(1); panic("kapow") })
@@ -131,6 +178,11 @@ func TestFailedRunStrandsNoGoroutine(t *testing.T) {
 		})
 	}
 }
+
+// stepFunc adapts a function to a Stepper.
+type stepFunc func() Time
+
+func (f stepFunc) Step() Time { return f() }
 
 func runRecovering(s *Simulation) (err error, panicked any) {
 	defer func() { panicked = recover() }()
