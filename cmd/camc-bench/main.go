@@ -34,6 +34,7 @@ import (
 	"camc/internal/bench"
 	"camc/internal/check"
 	"camc/internal/fault"
+	"camc/internal/liveness"
 	"camc/internal/store"
 	"camc/internal/trace"
 )
@@ -132,8 +133,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 2
 		}
 	}
-	if *deadline < 0 {
-		fmt.Fprintf(stderr, "negative -deadline %v (simulated microseconds; 0 keeps the x9 default)\n", *deadline)
+	if err := liveness.CheckDeadline(*deadline); err != nil {
+		fmt.Fprintf(stderr, "-deadline: %v (simulated microseconds; 0 keeps the x9 default)\n", err)
 		return 2
 	}
 	opts := bench.Options{Arch: *archF, Quick: *quick, Jobs: *jobs, Deadline: *deadline}

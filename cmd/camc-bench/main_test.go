@@ -105,6 +105,11 @@ func TestUsageErrors(t *testing.T) {
 		{"bad_fault_value", []string{"-run", "x8", "-faults", "partial=high"}, "usage: -faults"},
 		{"bad_kill_value", []string{"-run", "x9", "-faults", "kill=lots"}, "usage: -faults"},
 		{"negative_deadline", []string{"-run", "x9", "-deadline", "-100"}, "-deadline"},
+		{"deadline_at_poll", []string{"-run", "x9", "-quick", "-deadline", "10"}, "poll quantum"},
+		{"deadline_below_poll", []string{"-run", "x9", "-quick", "-deadline", "5"}, "poll quantum"},
+		{"deadline_tiny", []string{"-run", "x9", "-quick", "-deadline", "1e-300"}, "poll quantum"},
+		{"deadline_nan", []string{"-run", "x9", "-quick", "-deadline", "NaN"}, "-deadline"},
+		{"deadline_inf", []string{"-run", "x9", "-quick", "-deadline", "+Inf"}, "-deadline"},
 		{"negative_jobs", []string{"-run", "tab5", "-j", "-2"}, "negative -j -2"},
 		{"no_experiments", []string{}, "Usage"},
 		{"undefined_flag", []string{"-frobnicate"}, "flag provided but not defined"},

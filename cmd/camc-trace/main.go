@@ -212,8 +212,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faultCfg = &cfg
 	}
 
-	if *deadline < 0 {
-		fmt.Fprintf(stderr, "negative -deadline %v (simulated microseconds)\n", *deadline)
+	if err := liveness.CheckDeadline(*deadline); err != nil {
+		fmt.Fprintf(stderr, "-deadline: %v (simulated microseconds)\n", err)
 		return 2
 	}
 	recovery := *deadline > 0 || (faultCfg != nil && faultCfg.KillProb > 0)

@@ -22,6 +22,8 @@ func TestUsageErrors(t *testing.T) {
 		{"bad_algo", []string{"-run", "scatter", "-algo", "quantum"}, "core.LookupAlgorithm"},
 		{"bad_fault_spec", []string{"-run", "scatter", "-faults", "partial=lots"}, "usage: -faults"},
 		{"negative_deadline", []string{"-run", "scatter", "-deadline", "-10"}, "-deadline"},
+		{"deadline_below_poll", []string{"-run", "scatter", "-deadline", "5"}, "poll quantum"},
+		{"deadline_nan", []string{"-run", "scatter", "-deadline", "NaN"}, "-deadline"},
 		{"negative_procs", []string{"-run", "bcast", "-procs", "-3"}, "-procs -3 outside 0..272"},
 		{"procs_above_threads", []string{"-arch", "broadwell", "-procs", "29"}, "-procs 29 outside 0..28"},
 		{"zero_iters", []string{"-run", "bcast", "-iters", "0"}, "-iters 0"},

@@ -46,6 +46,11 @@ func TestParseSpecErrors(t *testing.T) {
 		base + " skew=-1",
 		base + " ambient=-3",
 		base + " ambient=two",
+		base + " deadline=-5",
+		base + " deadline=1",  // not above the detector's 10 us poll
+		base + " deadline=10", // one poll: live ranks read as dead
+		base + " deadline=NaN",
+		base + " deadline=+Inf",
 		"arch=knl kind=bcast algo=binomial size=64 procs=2 root=0 seed=1 ambient=8 nodes=2", // ambient is single-node machinery
 	}
 	for _, line := range bad {

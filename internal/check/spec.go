@@ -24,6 +24,7 @@ import (
 	"camc/internal/cluster"
 	"camc/internal/core"
 	"camc/internal/fault"
+	"camc/internal/liveness"
 )
 
 // Spec is one fully-determined check case: everything RunOne needs to
@@ -209,8 +210,8 @@ func (s Spec) Validate() error {
 	if s.Ambient > 0 && s.Nodes > 0 {
 		return fmt.Errorf("check: ambient= is single-node machinery, invalid with nodes>0")
 	}
-	if s.Deadline < 0 {
-		return fmt.Errorf("check: negative deadline %v", s.Deadline)
+	if err := liveness.CheckDeadline(s.Deadline); err != nil {
+		return fmt.Errorf("check: %v", err)
 	}
 	if _, err := core.LookupAlgorithm(s.Kind, s.Algo); err != nil {
 		return err

@@ -29,6 +29,7 @@ package liveness
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"camc/internal/sim"
@@ -84,6 +85,21 @@ type Config struct {
 // 10 us poll quantum.
 func Defaults() Config {
 	return Config{Deadline: 10_000, Poll: 10}
+}
+
+// CheckDeadline reports an error unless d can serve as a detector
+// deadline under the default poll quantum: 0 selects the default, and
+// any other value must be finite and longer than one poll. A deadline
+// at or below the poll declares ranks dead between two of their own
+// beats.
+func CheckDeadline(d sim.Time) error {
+	if d == 0 {
+		return nil
+	}
+	if poll := Defaults().Poll; math.IsNaN(d) || math.IsInf(d, 0) || d <= poll {
+		return fmt.Errorf("liveness: deadline %v is not a finite time above the %v us poll quantum", d, poll)
+	}
+	return nil
 }
 
 // withDefaults fills unset fields.
