@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"camc/internal/arch"
+	"camc/internal/cluster"
+	"camc/internal/core"
 	"camc/internal/fault"
 	"camc/internal/liveness"
 	"camc/internal/measure"
@@ -218,6 +220,174 @@ func init() {
 			}
 
 			return []Table{first, detect, shrink, rerun, acct}
+		},
+	})
+}
+
+// x12: chaos at scale. Where x9 kills ranks inside one shared-memory
+// node, this experiment kills them across the contention-aware fabric:
+// 1-4 ranks die mid-collective (a node member, a node leader, or a
+// whole node) on 64-1024 node clusters, and every cell drives the full
+// world-level recovery pipeline — fabric-crossing detection (leaders
+// gossip remote-node liveness over γ_net-costed links), a world
+// agreement round, the two-tier shrink rebuilding the cluster rank
+// table at both PPN and node granularity, deterministic leader
+// re-election (successor = the node's lowest-world-rank survivor;
+// orphaned nodes re-run the leader-phase address exchange), and a
+// re-planned re-run over the survivor world. The cells report what each
+// recovery stage costs in virtual time and how those costs scale with
+// the fabric; killing a leader must cost measurably more than killing a
+// member (the orphan republication plus the coordinator's
+// challenge-response), which the assembly asserts cell by cell.
+
+// x12Scenario is one death pattern on node 1 of a PPN-4 cluster:
+// world ranks 4..7. Rank 0 (the coordinator side) is never killed.
+type x12Scenario struct {
+	name  string
+	kills []cluster.Kill
+}
+
+func x12Scenarios() []x12Scenario {
+	return []x12Scenario{
+		{"kill-member", []cluster.Kill{{World: 5, Op: 1}}},
+		{"kill-leader", []cluster.Kill{{World: 4, Op: 1}}},
+		{"kill-node", []cluster.Kill{{World: 4, Op: 1}, {World: 5, Op: 1}, {World: 6, Op: 1}, {World: 7, Op: 1}}},
+	}
+}
+
+const (
+	x12PPN   = 4
+	x12Count = int64(64)
+)
+
+// x12Cell runs one (topo, design, nodes, scenario) recovery cycle,
+// dataless (payload verification at these shapes is the measure and
+// check suites' job; the experiment measures virtual-time costs).
+func x12Cell(a *arch.Profile, topo string, design cluster.Design, nodes int, sc x12Scenario, lcfg liveness.Config) measure.ClusterRecoveryResult {
+	res, err := measure.ClusterRecovered(a, core.KindGather, design, "tuned", x12Count,
+		measure.ClusterOptions{Nodes: nodes, PPN: x12PPN, Topo: topo, Root: 0,
+			Liveness: &lcfg, Kills: sc.kills})
+	if err != nil {
+		panic(fmt.Sprintf("bench: x12 %s/%s/%d under %s: %v", topo, design, nodes, sc.name, err))
+	}
+	if res.Survivors != nodes*x12PPN-len(sc.kills) {
+		panic(fmt.Sprintf("bench: x12 %s/%s/%d under %s: %d survivors after %d kills",
+			topo, design, nodes, sc.name, res.Survivors, len(sc.kills)))
+	}
+	return res
+}
+
+func init() {
+	register(&Experiment{
+		ID:    "x12",
+		Title: "[extension] Chaos at scale: cross-fabric death, re-election and two-tier shrink, 64-1024 nodes",
+		Tables: func(o Options) []Table {
+			a := arch.KNL()
+			if o.Arch != "" {
+				a = o.archs(arch.KNL())[0]
+			}
+			nodes := []int{64, 256, 1024}
+			if o.Quick {
+				nodes = []int{64, 256}
+			}
+			lcfg := liveness.Config{Deadline: DefaultDeadline, Poll: 10}
+			if o.Deadline > 0 {
+				lcfg.Deadline = o.Deadline
+			}
+			topos := []string{"fattree", "dragonfly"}
+			designs := cluster.Designs()
+			scens := x12Scenarios()
+
+			type cellKey struct{ ti, di, ni, si int }
+			var keys []cellKey
+			for ti := range topos {
+				for di := range designs {
+					for ni := range nodes {
+						for si := range scens {
+							keys = append(keys, cellKey{ti, di, ni, si})
+						}
+					}
+				}
+			}
+			cells := parMap(o, len(keys), func(i int) measure.ClusterRecoveryResult {
+				k := keys[i]
+				return x12Cell(a, topos[k.ti], designs[k.di], nodes[k.ni], scens[k.si], lcfg)
+			})
+			at := func(ti, di, ni, si int) measure.ClusterRecoveryResult {
+				return cells[((ti*len(designs)+di)*len(nodes)+ni)*len(scens)+si]
+			}
+
+			// Leader death must cost strictly more election time than a
+			// member death on the same shape: the orphaned node re-runs
+			// the leader-phase address exchange and its successor answers
+			// the coordinator's challenge.
+			for ti := range topos {
+				for di := range designs {
+					for ni := range nodes {
+						le := at(ti, di, ni, 1).ElectLatency
+						me := at(ti, di, ni, 0).ElectLatency
+						if le <= me {
+							panic(fmt.Sprintf("bench: x12 %s/%s/%d: leader-death election (%.2fus) not costlier than member-death (%.2fus)",
+								topos[ti], designs[di], nodes[ni], le, me))
+						}
+					}
+				}
+			}
+
+			metrics := []struct {
+				name  string
+				get   func(measure.ClusterRecoveryResult) float64
+				notes []string
+			}{
+				{"Detection latency: first death to world agreement (us)",
+					func(c measure.ClusterRecoveryResult) float64 { return c.DetectLatency },
+					[]string{
+						"intra-node deaths revoke blocked waits within a poll quantum; deaths only",
+						fmt.Sprintf("visible across the fabric ride probes bounded by the %gus deadline", float64(lcfg.Deadline)),
+					}},
+				{"Shrink latency: agreement to rebuilt two-tier rank table (us)",
+					func(c measure.ClusterRecoveryResult) float64 { return c.ShrinkLatency },
+					[]string{
+						"drain, survivor barrier, fresh liveness views, node-local shrink at every",
+						"PPN count including whole-node loss",
+					}},
+				{"Re-election latency: survivor table to verified leader table (us)",
+					func(c measure.ClusterRecoveryResult) float64 { return c.ElectLatency },
+					[]string{
+						"successor = lowest-world-rank survivor per node (deterministic, no votes);",
+						"orphaned nodes republish intra-node and answer the coordinator challenge",
+					}},
+				{"Re-run latency over the survivor world (us)",
+					func(c measure.ClusterRecoveryResult) float64 { return c.RerunLatency },
+					[]string{
+						"two-level leader decomposition re-planned per node; dead roots re-rooted",
+						"to new id 0",
+					}},
+			}
+			var out []Table
+			for ti, topo := range topos {
+				for _, m := range metrics {
+					t := Table{
+						Title:   fmt.Sprintf("%s — %s fabric, gather, ppn %d, %s", m.name, topo, x12PPN, a.Display),
+						XHeader: "nodes",
+						Notes:   m.notes,
+					}
+					for di, d := range designs {
+						for si, sc := range scens {
+							s := Series{Name: fmt.Sprintf("%s/%s", d, sc.name)}
+							for ni := range nodes {
+								s.Values = append(s.Values, m.get(at(ti, di, ni, si)))
+							}
+							t.Series = append(t.Series, s)
+						}
+					}
+					for _, n := range nodes {
+						t.XLabels = append(t.XLabels, fmt.Sprintf("%d", n))
+					}
+					out = append(out, t)
+				}
+			}
+			return out
 		},
 	})
 }
