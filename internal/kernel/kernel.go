@@ -306,11 +306,8 @@ func (e *PermissionError) Error() string {
 // completion; callers that need the full count resume from the
 // completed offset (see VMReadRetry / VMWriteRetry).
 func (n *Node) vmTransfer(sp *sim.Proc, caller *Process, callerAddr Addr, remote *Process, remoteAddr Addr, localBytes, remoteBytes int64, read bool) (Breakdown, int64, error) {
+	size := min64(localBytes, remoteBytes)
 	if n.mechanism == MechXPMEM {
-		size := localBytes
-		if remoteBytes < size {
-			size = remoteBytes
-		}
 		bd, err := n.xpmemTransfer(sp, caller, callerAddr, remote, remoteAddr, size, read)
 		if err != nil {
 			return bd, 0, err
@@ -332,7 +329,7 @@ func (n *Node) vmTransfer(sp *sim.Proc, caller *Process, callerAddr Addr, remote
 		}
 		span = n.rec.Begin(callerLane, trace.CatCMA, name,
 			trace.F("peer", float64(remoteLane)),
-			trace.F("bytes", float64(min64(localBytes, remoteBytes))))
+			trace.F("bytes", float64(size)))
 	}
 
 	// Phase 1: syscall entry, plus the descriptor management the
@@ -342,7 +339,7 @@ func (n *Node) vmTransfer(sp *sim.Proc, caller *Process, callerAddr Addr, remote
 	op := getCMAOp()
 	*op = cmaOp{n: n, sp: sp, caller: caller, remote: remote,
 		callerAddr: callerAddr, remoteAddr: remoteAddr,
-		localBytes: localBytes, remoteBytes: remoteBytes, read: read,
+		remoteBytes: remoteBytes, copyBytes: size, read: read,
 		span: span, callerLane: callerLane, remoteLane: remoteLane}
 	op.bd.Syscall = a.Alpha*a.SyscallFrac + n.mechanism.extraCost()
 	sp.SleepSteps(op.bd.Syscall, op)
@@ -356,17 +353,17 @@ func (n *Node) vmTransfer(sp *sim.Proc, caller *Process, callerAddr Addr, remote
 // sleep, so an op costs its process's coroutine one suspension however
 // many chunks it walks.
 type cmaOp struct {
-	n                       *Node
-	sp                      *sim.Proc
-	caller, remote          *Process
-	callerAddr, remoteAddr  Addr
-	localBytes, remoteBytes int64
-	read                    bool
-	span                    trace.SpanID
-	callerLane, remoteLane  int
+	n                      *Node
+	sp                     *sim.Proc
+	caller, remote         *Process
+	callerAddr, remoteAddr Addr
+	remoteBytes, copyBytes int64
+	read                   bool
+	span                   trace.SpanID
+	callerLane, remoteLane int
 
 	phase              cmaPhase
-	copyBytes, copied  int64
+	copied             int64
 	pages, chunk, page int64
 	cp, pg, todo       int64 // this chunk's pages, its next locked page, its copy bytes
 	lockCost, pinCost  float64
@@ -489,7 +486,6 @@ func (o *cmaOp) admit() sim.Time {
 		o.err = &PermissionError{CallerPID: o.caller.pid, TargetPID: o.remote.pid}
 		return sim.StepDone
 	}
-	o.copyBytes = min64(o.localBytes, o.remoteBytes)
 	if err := n.checkRange(o.remote, o.remoteAddr, o.remoteBytes); err != nil {
 		n.abortSpan(o.span, o.bd)
 		o.err = err
