@@ -512,8 +512,7 @@ func (p *Proc) sleepFor(d Time) (own bool) {
 	// Fast path: no pending event precedes our wake-up (ties go to the
 	// earlier-scheduled event, which any pending event is), so the
 	// dispatch would pick this process again — advance the clock in
-	// place: a sleeper with the node to itself, say, between the
-	// collectives' synchronisation points.
+	// place.
 	if (len(s.events) == 0 || t < s.events[0].t) && (len(s.lin.wakes) == 0 || t < s.lin.wakes[0].t) {
 		if s.lin.pending > 0 {
 			s.lin.continued(s, t)
