@@ -273,10 +273,13 @@ func AllgatherBruck(r *mpi.Rank, a Args) {
 		filled += n
 		step++
 	}
-	// Final rotation: Recv[(me+i) mod p] = work[i].
+	// Final rotation: Recv[(me+i) mod p] = work[i], as one run of block
+	// copies.
+	b := r.Blocks()
 	for i := 0; i < p; i++ {
-		r.LocalCopy(a.Recv+kernel.Addr(int64((me+i)%p)*a.Count), work+kernel.Addr(int64(i)*a.Count), a.Count)
+		b.Add(a.Recv+kernel.Addr(int64((me+i)%p)*a.Count), work+kernel.Addr(int64(i)*a.Count), a.Count)
 	}
+	r.LocalCopyBlocks(b)
 	r.Barrier()
 }
 

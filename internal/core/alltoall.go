@@ -119,22 +119,27 @@ func AlltoallBruck(r *mpi.Rank, a Args) {
 	stageOut := r.Alloc(int64((p+1)/2) * a.Count)
 	stageIn := r.Alloc(int64((p+1)/2) * a.Count)
 
-	// Phase 1: local rotation: work[j] = Send[(j+me) mod p].
+	// Phase 1: local rotation: work[j] = Send[(j+me) mod p]. Each loop
+	// of block copies runs as one LocalCopyBlocks run.
+	b := r.Blocks()
 	for j := 0; j < p; j++ {
-		r.LocalCopy(work+kernel.Addr(int64(j)*a.Count), a.Send+kernel.Addr(int64((j+me)%p)*a.Count), a.Count)
+		b.Add(work+kernel.Addr(int64(j)*a.Count), a.Send+kernel.Addr(int64((j+me)%p)*a.Count), a.Count)
 	}
+	r.LocalCopyBlocks(b)
 	// Phase 2: log steps.
 	for pow := 1; pow < p; pow <<= 1 {
 		sendTo := (me + pow) % p
 		recvFrom := (me - pow + p) % p
 		// Pack blocks with bit `pow` set.
 		var nsel int
+		b = r.Blocks()
 		for j := 0; j < p; j++ {
 			if j&pow != 0 {
-				r.LocalCopy(stageOut+kernel.Addr(int64(nsel)*a.Count), work+kernel.Addr(int64(j)*a.Count), a.Count)
+				b.Add(stageOut+kernel.Addr(int64(nsel)*a.Count), work+kernel.Addr(int64(j)*a.Count), a.Count)
 				nsel++
 			}
 		}
+		r.LocalCopyBlocks(b)
 		nrecv := 0
 		for j := 0; j < p; j++ {
 			if j&pow != 0 {
@@ -144,17 +149,21 @@ func AlltoallBruck(r *mpi.Rank, a Args) {
 		r.Sendrecv(sendTo, stageOut, int64(nsel)*a.Count, recvFrom, stageIn, int64(nrecv)*a.Count)
 		// Unpack into the same block positions.
 		var u int
+		b = r.Blocks()
 		for j := 0; j < p; j++ {
 			if j&pow != 0 {
-				r.LocalCopy(work+kernel.Addr(int64(j)*a.Count), stageIn+kernel.Addr(int64(u)*a.Count), a.Count)
+				b.Add(work+kernel.Addr(int64(j)*a.Count), stageIn+kernel.Addr(int64(u)*a.Count), a.Count)
 				u++
 			}
 		}
+		r.LocalCopyBlocks(b)
 	}
 	// Phase 3: inverse rotation with reversal: Recv[j] = work[(me-j+p) mod p].
+	b = r.Blocks()
 	for j := 0; j < p; j++ {
-		r.LocalCopy(a.Recv+kernel.Addr(int64(j)*a.Count), work+kernel.Addr(int64((me-j+p)%p)*a.Count), a.Count)
+		b.Add(a.Recv+kernel.Addr(int64(j)*a.Count), work+kernel.Addr(int64((me-j+p)%p)*a.Count), a.Count)
 	}
+	r.LocalCopyBlocks(b)
 }
 
 // AlltoallAlgorithms returns the registered Alltoall implementations.

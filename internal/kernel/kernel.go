@@ -22,7 +22,6 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
 
 	"camc/internal/arch"
 	"camc/internal/fault"
@@ -336,7 +335,7 @@ func (n *Node) vmTransfer(sp *sim.Proc, caller *Process, callerAddr Addr, remote
 	// module-based mechanisms (KNEM/LiMIC) add on the control path.
 	// The rest of the op runs as a stepper the dispatcher advances
 	// between its sleeps (see cmaOp).
-	op := getCMAOp()
+	op := cmaOps.Get()
 	*op = cmaOp{n: n, sp: sp, caller: caller, remote: remote,
 		callerAddr: callerAddr, remoteAddr: remoteAddr,
 		remoteBytes: remoteBytes, copyBytes: size, read: read,
@@ -344,7 +343,8 @@ func (n *Node) vmTransfer(sp *sim.Proc, caller *Process, callerAddr Addr, remote
 	op.bd.Syscall = a.Alpha*a.SyscallFrac + n.mechanism.extraCost()
 	sp.SleepSteps(op.bd.Syscall, op)
 	bd, copied, err := op.bd, op.copied, op.err
-	putCMAOp(op)
+	*op = cmaOp{}
+	cmaOps.Put(op)
 	return bd, copied, err
 }
 
@@ -389,42 +389,13 @@ const (
 	phPageHeld                 // one page's hold of the EmergentLock mutex
 )
 
-// cmaOps is the process-wide free list of op states. Simulations on
-// parallel goroutines share it, hence the mutex; a list per node would
-// allocate afresh for every node a cluster builds.
-var cmaOps struct {
-	sync.Mutex
-	free []*cmaOp
-}
-
-// maxFreeCMAOps caps the free list, so a run with many ops in flight at
-// once does not pin their states for the rest of the process. A
-// 256-node cluster cell keeps up to 4096 in flight; a cap that large
-// removed the few allocations above it (perfbench fabric allocs_per_op
-// +0.5% at 1024, ±0 at 4096) but kept them all live for every later
-// GC cycle (fabric peak RSS +5.5% at 4096, +0.5% at 1024).
-const maxFreeCMAOps = 1024
-
-func getCMAOp() *cmaOp {
-	cmaOps.Lock()
-	if n := len(cmaOps.free); n > 0 {
-		op := cmaOps.free[n-1]
-		cmaOps.free = cmaOps.free[:n-1]
-		cmaOps.Unlock()
-		return op
-	}
-	cmaOps.Unlock()
-	return new(cmaOp)
-}
-
-func putCMAOp(op *cmaOp) {
-	*op = cmaOp{}
-	cmaOps.Lock()
-	if len(cmaOps.free) < maxFreeCMAOps {
-		cmaOps.free = append(cmaOps.free, op)
-	}
-	cmaOps.Unlock()
-}
+// cmaOps is the process-wide free list of op states. Its cap of 1024
+// is sim.DefaultFreeListCap: a 256-node cluster cell keeps up to 4096
+// ops in flight, and a cap that large removed the few allocations above
+// it (perfbench fabric allocs_per_op +0.5% at 1024, ±0 at 4096) but kept
+// them all live for every later GC cycle (fabric peak RSS +5.5% at 4096,
+// +0.5% at 1024).
+var cmaOps sim.FreeList[cmaOp]
 
 // Step runs the phase that follows the op's current sleep.
 func (o *cmaOp) Step() sim.Time {
@@ -775,4 +746,77 @@ func (p *Process) LocalCopy(sp *sim.Proc, dst, src Addr, size int64) {
 	}
 	sp.Sleep(float64(size) * p.node.Arch.MemCopyBeta())
 	movePayload(p, dst, p, src, size)
+}
+
+// Blocks is a run of in-process block copies for LocalCopyBlocks, as a
+// sim.Stepper: each Step moves the block whose copy sleep just ended
+// and starts the next one. A Blocks comes from Process.Blocks and goes
+// back to a process-wide free list, its array kept, when its run ends,
+// so a run allocates nothing in steady state.
+type Blocks struct {
+	p      *Process
+	list   []block
+	i      int  // the block copying, or the next to start
+	moving bool // list[i]'s copy sleep is under way
+	err    error
+}
+
+// block is one block of a Blocks run: size bytes from src to dst.
+type block struct {
+	dst, src Addr
+	size     int64
+}
+
+var copyRuns sim.FreeList[Blocks]
+
+// Blocks returns an empty run of block copies for LocalCopyBlocks.
+func (p *Process) Blocks() *Blocks { return copyRuns.Get() }
+
+// Add appends a size-byte copy from src to dst to the run.
+func (b *Blocks) Add(dst, src Addr, size int64) {
+	b.list = append(b.list, block{dst: dst, src: src, size: size})
+}
+
+// LocalCopyBlocks runs LocalCopy on each block of b in order, at the
+// same instants and with the same range checks, panics and payload
+// moves, as one stepped run: a contended run costs the process's
+// coroutine one suspension, not one per block. b goes back to the free
+// list and must not be used again.
+func (p *Process) LocalCopyBlocks(sp *sim.Proc, b *Blocks) {
+	b.p = p
+	sp.SleepSteps(b.Step(), b)
+	err := b.err
+	b.p, b.list, b.i, b.moving, b.err = nil, b.list[:0], 0, false, nil
+	copyRuns.Put(b)
+	if err != nil {
+		panic(err)
+	}
+}
+
+// Step finishes the block whose copy sleep just ended, then range-checks
+// the next non-empty block and returns its copy time. A range error ends
+// the run, for LocalCopyBlocks to raise.
+func (b *Blocks) Step() sim.Time {
+	p := b.p
+	if b.moving {
+		k := &b.list[b.i]
+		movePayload(p, k.dst, p, k.src, k.size)
+		b.moving = false
+		b.i++
+	}
+	for ; b.i < len(b.list); b.i++ {
+		k := &b.list[b.i]
+		if k.size <= 0 {
+			continue
+		}
+		if b.err = p.node.checkRange(p, k.dst, k.size); b.err != nil {
+			return sim.StepDone
+		}
+		if b.err = p.node.checkRange(p, k.src, k.size); b.err != nil {
+			return sim.StepDone
+		}
+		b.moving = true
+		return float64(k.size) * p.node.Arch.MemCopyBeta()
+	}
+	return sim.StepDone
 }

@@ -856,3 +856,13 @@ func (r *Rank) bounce(local kernel.Addr, peer int, remote kernel.Addr, size int6
 func (r *Rank) LocalCopy(dst, src kernel.Addr, size int64) {
 	r.OS.LocalCopy(r.SP, dst, src, size)
 }
+
+// Blocks returns an empty run of in-process block copies for
+// LocalCopyBlocks.
+func (r *Rank) Blocks() *kernel.Blocks { return r.OS.Blocks() }
+
+// LocalCopyBlocks runs LocalCopy on every block of b in order, as one
+// stepped run.
+func (r *Rank) LocalCopyBlocks(b *kernel.Blocks) {
+	r.OS.LocalCopyBlocks(r.SP, b)
+}

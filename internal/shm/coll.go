@@ -579,18 +579,19 @@ func resize[T any](s []T, n int) []T {
 // chained control posts at the sender (the serialized cost the chained
 // form charges) but consuming one simulator event instead of n.
 func (t *Transport) sendCtlVec(sp *sim.Proc, src, dst, tag int, vals []int64) {
-	sp.Sleep(float64(len(vals)) * ctlCost)
-	t.post(sp, src, dst, &message{tag: tag, vec: vals})
+	o := t.ctlOp(sp, src, dst, tag, true)
+	o.m.vec, o.cost = vals, float64(len(vals))*ctlCost
+	t.run(o)
 }
 
 // recvCtlVec consumes one bulk control vector from src, asserting the
 // expected tag and length.
 func (t *Transport) recvCtlVec(sp *sim.Proc, src, dst, tag, n int) []int64 {
-	m := t.takeCtl(sp, src, dst, tag)
-	if len(m.vec) != n {
-		panic(fmt.Sprintf("shm: expected %d-entry control vector on %d->%d, got %d", n, src, dst, len(m.vec)))
+	_, vec := t.run(t.ctlOp(sp, dst, src, tag, false))
+	if len(vec) != n {
+		panic(fmt.Sprintf("shm: expected %d-entry control vector on %d->%d, got %d", n, src, dst, len(vec)))
 	}
-	return m.vec
+	return vec
 }
 
 // Notify posts a 0-byte completion message to dst.

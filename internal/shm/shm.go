@@ -185,15 +185,13 @@ func (t *Transport) stall(src, dst int) float64 {
 	return d
 }
 
-// await moves one message over q, the src -> dst queue, under liveness
-// board b: it posts *m when send is set, and otherwise receives the next
-// message into *m. The wait is chopped into Poll-sized quanta: each
-// quantum the waiting rank (src posting, dst receiving) re-publishes its
-// own heartbeat, then attempts a timed Send or Recv; one that completes
-// in time does so at its exact instant (the timed wait cancels its
-// deadline event unprocessed), so healthy runs are latency-identical to
-// board-less ones. A post waits only while dst's queue is full (a dead
-// receiver never drains its cells).
+// An operation's liveness wait, under board b: each quantum the
+// waiting rank re-publishes its own heartbeat, then attempts a timed
+// post or take of one message; one that completes in time does so at
+// its exact instant (the timed wait cancels its deadline event
+// unprocessed), so healthy runs are latency-identical to board-less
+// ones. A post waits only while dst's queue is full (a dead receiver
+// never drains its cells).
 //
 // A quantum that ends empty-handed while *any* rank is marked dead
 // aborts the wait — ULFM-style revocation. The direct peer may be
@@ -207,83 +205,132 @@ func (t *Transport) stall(src, dst int) float64 {
 // is alive and merely blocked elsewhere, typically on the actually-dead
 // rank whose own waiter expires at the same instant; the waiter then
 // keeps polling until that true death lands on the board and revocation
-// ends the wait. Either way a failed wait panics with a
-// *liveness.PeerDeadError, which the MPI layer recovers at the
-// protected-collective boundary — collectives in internal/core need no
-// error plumbing.
-func (t *Transport) await(sp *sim.Proc, b *liveness.Board, q *sim.Chan[message], src, dst int, send bool, m *message) {
-	self, peer, op := dst, src, "recv"
-	if send {
-		self, peer, op = src, dst, "send"
+// ends the wait. Either way a failed wait ends the operation, and the
+// rank raises a *liveness.PeerDeadError, which the MPI layer recovers
+// at the protected-collective boundary — collectives in internal/core
+// need no error plumbing.
+
+// quantum starts one Poll-sized quantum of the wait to post (or take)
+// o.m, cut short at the wait's deadline.
+func (o *op) quantum(post bool) sim.Time {
+	cfg := o.b.Config()
+	o.b.Beat(o.t.bid(o.me))
+	wait := cfg.Poll
+	if r := o.deadline - o.sp.Now(); r > 0 && r < wait {
+		wait = r
 	}
-	cfg := b.Config()
-	deadline := sp.Now() + cfg.Deadline
-	for {
-		b.Beat(t.bid(self))
-		wait := cfg.Poll
-		if r := deadline - sp.Now(); r > 0 && r < wait {
-			wait = r
+	if post {
+		if o.qout.SendTimeoutStep(o.sp, &o.m, wait) {
+			return o.posted()
 		}
-		if send {
-			if q.SendTimeout(sp, *m, wait) {
-				return
-			}
-		} else if got, ok := q.RecvTimeout(sp, wait); ok {
-			*m = got
-			return
+		o.phase = phAwaitPost
+	} else {
+		if o.qin.RecvTimeoutStep(o.sp, &o.m, wait) {
+			return o.taken()
 		}
-		dead := b.AnyDead()
-		if !dead && sp.Now() >= deadline && b.Stale(t.bid(peer), cfg.Deadline) {
-			b.MarkDead(t.bid(peer))
-			dead = true
-		}
-		if dead { // trace the detection, then abort with the failed-rank set
-			if rec := t.node.Recorder(); rec != nil {
-				rec.Instant(t.lane(self), trace.CatLiveness, "peer_dead_"+op,
-					trace.F("peer", float64(t.lane(peer))))
-			}
-			panic(liveness.NewPeerDeadError(b.DeadSet()))
-		}
+		o.phase = phAwaitTake
 	}
+	return sim.StepPark
 }
 
-// post stamps *m with the instant dst may consume it — one ShmLatency
-// from now, plus any injected stall — and queues it from src to dst;
-// every message leaves through it. post and take call the queue
-// directly on the plain path, and take formats panics in mismatch: each
-// frame here sits on every rank's coroutine stack, and grows them all.
-func (t *Transport) post(sp *sim.Proc, src, dst int, m *message) {
-	m.readyAt = sp.Now() + t.node.Arch.ShmLatency + t.stall(src, dst)
-	if q, b := t.queue(src, dst), t.node.Liveness(); b != nil {
-		t.await(sp, b, q, src, dst, true, m)
-	} else {
-		q.Send(sp, *m)
+// missed follows a quantum that ended with nothing moved to or from
+// peer: it ends the operation if a rank is dead, declaring peer dead
+// first once the whole deadline has passed with its heartbeat stale,
+// and otherwise starts the next quantum.
+func (o *op) missed(peer int, post bool) sim.Time {
+	b := o.b
+	dead := b.AnyDead()
+	if d := b.Config().Deadline; !dead && o.sp.Now() >= o.deadline && b.Stale(o.t.bid(peer), d) {
+		b.MarkDead(o.t.bid(peer))
+		dead = true
 	}
+	if !dead {
+		return o.quantum(post)
+	}
+	if rec := o.t.node.Recorder(); rec != nil {
+		o.t.traceDead(rec, o.me, peer, post)
+	}
+	o.fail = failDead
+	return sim.StepDone
 }
 
-// take receives the next message from src to dst into *m, checks its
-// tag and kind, and sleeps until it is ready; every message arrives
-// through it. A data message ends with a cell marked last (a zero-byte
-// message is one empty last cell), so a data cell carries bytes or is
-// last, and a control message does neither. A mismatch is a protocol bug
-// in the caller and panics naming the pair. take returns the instants
-// the wait began and the message became ready, for the trace edge.
-func (t *Transport) take(sp *sim.Proc, src, dst, tag int, data bool, m *message) (waitStart, readyTs float64) {
-	waitStart = sp.Now()
-	if q, b := t.queue(src, dst), t.node.Liveness(); b != nil {
-		t.await(sp, b, q, src, dst, false, m)
+// traceDead traces rank self's detection of a death while waiting to
+// post to (or take from) peer.
+func (t *Transport) traceDead(rec *trace.Recorder, self, peer int, post bool) {
+	op := "recv"
+	if post {
+		op = "send"
+	}
+	rec.Instant(t.lane(self), trace.CatLiveness, "peer_dead_"+op,
+		trace.F("peer", float64(t.lane(peer))))
+}
+
+// post stamps o.m with the instant its receiver may consume it — one
+// ShmLatency from now, plus any injected stall — and queues it from
+// o.me to o.out.peer; every message leaves through it.
+func (o *op) post() sim.Time {
+	t := o.t
+	o.m.readyAt = o.sp.Now() + t.node.Arch.ShmLatency + t.stall(o.me, o.out.peer)
+	if o.b = t.node.Liveness(); o.b != nil {
+		o.deadline = o.sp.Now() + o.b.Config().Deadline
+		return o.quantum(true)
+	}
+	if !o.qout.SendStep(o.sp, &o.m) {
+		o.phase = phPost
+		return sim.StepPark
+	}
+	return o.posted()
+}
+
+// posted follows a queued outgoing message.
+func (o *op) posted() sim.Time {
+	if o.ctl {
+		o.out.done = true
 	} else {
-		*m = q.Recv(sp)
+		o.sent += o.m.size
+		o.out.done = o.m.last
 	}
-	if isData := m.size > 0 || m.last; m.tag != tag || isData != data {
-		panic(mismatch(src, dst, tag, data, m))
+	if !o.in.done {
+		return o.take()
 	}
-	readyTs = sp.Now()
-	if m.readyAt > readyTs {
-		readyTs = m.readyAt
-		sp.Sleep(m.readyAt - sp.Now())
+	return o.next()
+}
+
+// take receives the next message from o.in.peer into o.m; every
+// message arrives through it. A data message ends with a cell marked
+// last (a zero-byte message is one empty last cell), so a data cell
+// carries bytes or is last, and a control message does neither. A
+// mismatch is a protocol bug in the caller, which the rank raises
+// naming the pair.
+func (o *op) take() sim.Time {
+	o.waitStart = o.sp.Now()
+	if o.b = o.t.node.Liveness(); o.b != nil {
+		o.deadline = o.waitStart + o.b.Config().Deadline
+		return o.quantum(false)
 	}
-	return waitStart, readyTs
+	if !o.qin.RecvStep(o.sp, &o.m) {
+		o.phase = phTake
+		return sim.StepPark
+	}
+	return o.taken()
+}
+
+// taken checks the message take received and sleeps until it is
+// ready, noting the instants the wait began and the message became
+// ready for the trace edge.
+func (o *op) taken() sim.Time {
+	if isData := o.m.size > 0 || o.m.last; o.m.tag != o.tag || isData == o.ctl {
+		o.fail = failMismatch
+		return sim.StepDone
+	}
+	now := o.sp.Now()
+	o.readyTs = now
+	if o.m.readyAt > now {
+		o.readyTs = o.m.readyAt
+		o.phase = phReady
+		return o.m.readyAt - now
+	}
+	return o.ready()
 }
 
 // mismatch describes why take rejected m.
@@ -298,7 +345,7 @@ func mismatch(src, dst, tag int, data bool, m *message) string {
 }
 
 // edge traces the hand-off of a message taken from src by dst, ready
-// at readyAt, with the instants take returned, as consumed now.
+// at readyAt, with the instants take noted, as consumed now.
 func (t *Transport) edge(rec *trace.Recorder, sp *sim.Proc, src, dst, tag int, readyAt, waitStart, readyTs float64, args ...trace.Arg) {
 	rec.Edge(t.lane(src), t.lane(dst), trace.CatShm, tagName(tag),
 		readyAt-t.node.Arch.ShmLatency, readyTs, waitStart, sp.Now(), args...)
@@ -306,25 +353,32 @@ func (t *Transport) edge(rec *trace.Recorder, sp *sim.Proc, src, dst, tag int, r
 
 // SendCtl posts an 8-byte control message from src to dst.
 func (t *Transport) SendCtl(sp *sim.Proc, src, dst, tag int, val int64) {
-	sp.Sleep(ctlCost)
-	t.post(sp, src, dst, &message{tag: tag, ctl: val})
+	o := t.ctlOp(sp, src, dst, tag, true)
+	o.m.ctl = val
+	t.run(o)
 }
 
 // RecvCtl consumes the next control message from src, asserting the tag
 // matches.
 func (t *Transport) RecvCtl(sp *sim.Proc, src, dst, tag int) int64 {
-	return t.takeCtl(sp, src, dst, tag).ctl
+	ctl, _ := t.run(t.ctlOp(sp, dst, src, tag, false))
+	return ctl
 }
 
-// takeCtl consumes the next control message from src to dst: take,
-// then the consume cost.
-func (t *Transport) takeCtl(sp *sim.Proc, src, dst, tag int) (m message) {
-	waitStart, readyTs := t.take(sp, src, dst, tag, false, &m)
-	sp.Sleep(ctlCost)
-	if rec := t.node.Recorder(); rec != nil {
-		t.edge(rec, sp, src, dst, tag, m.readyAt, waitStart, readyTs)
+// ctlOp returns a control run of rank me: one message tagged tag
+// posted to peer one ctlCost after it starts, or taken from peer and
+// then consumed for one ctlCost.
+func (t *Transport) ctlOp(sp *sim.Proc, me, peer, tag int, post bool) *op {
+	o := t.newOp(sp, me, tag)
+	o.ctl = true
+	if post {
+		o.out.peer, o.in.done = peer, true
+		o.qout, o.cost, o.m.tag = t.queue(me, peer), ctlCost, tag
+	} else {
+		o.in.peer, o.out.done, o.draining = peer, true, true
+		o.qin = t.queue(peer, me)
 	}
-	return m
+	return o
 }
 
 // leg is one direction of a cell pipeline: size bytes at addr in proc's
@@ -374,58 +428,18 @@ func (t *Transport) pipeline(sp *sim.Proc, me, tag int, out, in leg) {
 	if out.size < 0 {
 		panic("shm: negative send size")
 	}
-	span := trace.NoSpan
+	o := t.newOp(sp, me, tag)
+	o.out, o.in, o.draining = out, in, !in.done
 	if rec := t.node.Recorder(); rec != nil {
-		span = t.begin(rec, me, &out, &in)
+		o.span = t.begin(rec, me, &o.out, &o.in)
 	}
-	cell := int64(t.node.Arch.ShmCellSize)
-	draining := !in.done
-	var sent, got int64
-	var m message
-	copyT, waitStart, readyTs, readyAt := 0.0, 0.0, 0.0, 0.0 // the take of the latest incoming cell
-	for !out.done || !in.done {
-		if !out.done {
-			n := min(cell, out.size-sent)
-			copyT += t.copyCell(sp, n)
-			m = message{tag: tag, size: n, last: sent+n >= out.size}
-			if n > 0 {
-				at := out.addr + kernel.Addr(sent)
-				if t.node.CopyData {
-					m.data = append([]byte(nil), out.proc.Bytes(at, n)...)
-				}
-				if out.proc.PayloadTracked() {
-					m.sum = out.proc.RangeDigest(at, n)
-				}
-			}
-			t.post(sp, me, out.peer, &m)
-			sent += n
-			out.done = m.last
-		}
-		if !in.done {
-			waitStart, readyTs = t.take(sp, in.peer, me, tag, true, &m)
-			readyAt = m.readyAt
-			n := m.size
-			copyT += t.copyCell(sp, n)
-			if n > 0 {
-				at := in.addr + kernel.Addr(got)
-				if t.node.CopyData {
-					copy(in.proc.Bytes(at, n), m.data)
-				}
-				in.proc.ApplyPayload(at, n, m.sum)
-			}
-			got += n
-			in.done = m.last
-		}
+	if !out.done {
+		o.qout = t.queue(me, out.peer)
 	}
-	if rec := t.node.Recorder(); rec != nil {
-		if draining {
-			t.edge(rec, sp, in.peer, me, tag, readyAt, waitStart, readyTs, trace.F("bytes", float64(in.size)))
-		}
-		rec.End(span, trace.F("copy", copyT))
+	if !in.done {
+		o.qin = t.queue(in.peer, me)
 	}
-	if got != in.size {
-		panic(fmt.Sprintf("shm: size mismatch on %d->%d: staged %d, expected %d", in.peer, me, got, in.size))
-	}
+	t.run(o)
 }
 
 // begin opens the trace span of a pipeline run, named for the legs it
@@ -444,14 +458,238 @@ func (t *Transport) begin(rec *trace.Recorder, me int, out, in *leg) trace.SpanI
 		trace.F("sbytes", float64(out.size)), trace.F("rbytes", float64(in.size)))
 }
 
-// copyCell copies one n-byte cell between a process buffer and the
-// shared region, as one active copy stream on the node, and returns its
-// cost.
-func (t *Transport) copyCell(sp *sim.Proc, n int64) float64 {
+// beginCell starts copying one n-byte cell between a process buffer
+// and the shared region, as one active copy stream on the node, and
+// returns its cost; the op ends the stream after the copy's sleep.
+func (t *Transport) beginCell(n int64) float64 {
 	a := t.node.Arch
 	ct := a.ShmCellOverhead + float64(n)*t.node.EffPerByte(a.ShmCopyBeta())
 	t.node.BeginCopy()
-	sp.Sleep(ct)
-	t.node.EndCopy()
 	return ct
+}
+
+// op is one message operation of a rank — a cell pipeline, or a
+// control run of one message — as a sim.Stepper. Each Step runs what
+// follows the op's current sleep or park and returns the next, so an
+// operation costs the rank's coroutine one suspension however many
+// cells, messages and liveness quanta it takes, and under contention
+// sim.Run calls its steps on its own stack. Its state comes off a
+// process-wide free list: every frame on the rank's path sits on every
+// rank's coroutine stack, so the state stays off it, and trace
+// arguments and panic messages are built in separate functions, only
+// when used.
+type op struct {
+	t         *Transport
+	sp        *sim.Proc
+	me, tag   int
+	out, in   leg
+	qout, qin *sim.Chan[message]
+	b         *liveness.Board // the board of the wait under way, nil without one
+	ctl       bool            // a control run: out or in moves one control message
+	draining  bool            // the op takes messages: trace its last one as an edge
+	phase     opPhase
+	fail      opFail
+	m         message // the message being posted or taken
+	sent, got int64
+	cost      float64 // a control post's cost
+	ct, copyT float64 // the current cell's copy time, and the run's total
+	span      trace.SpanID
+	deadline  sim.Time // the wait under way gives up on its peer here
+
+	waitStart, readyTs, readyAt float64 // the latest take, for the trace edge
+}
+
+// opPhase names the sleep or park an op is in: the next Step runs what
+// follows it.
+type opPhase uint8
+
+const (
+	phStart     opPhase = iota // nothing run yet
+	phStage                    // an outgoing cell's copy, or a control post's cost
+	phPost                     // parked until the receiver's queue takes the message
+	phTake                     // parked until a message arrives
+	phReady                    // until the taken message is ready
+	phDrain                    // an incoming cell's copy, or a control message's consume cost
+	phAwaitPost                // a liveness quantum of a post
+	phAwaitTake                // a liveness quantum of a take
+)
+
+// opFail is why an op ended early, for the rank to raise.
+type opFail uint8
+
+const (
+	failNone     opFail = iota
+	failDead            // a liveness wait saw a dead rank
+	failMismatch        // take got a message of the wrong tag or kind
+	failSize            // the incoming message's size differs from the expected one
+)
+
+var ops sim.FreeList[op]
+
+// newOp returns an op of rank me for messages tagged tag.
+func (t *Transport) newOp(sp *sim.Proc, me, tag int) *op {
+	o := ops.Get()
+	o.t, o.sp, o.me, o.tag = t, sp, me, tag
+	return o
+}
+
+// run runs o to its end, frees it and returns its last message's
+// control value and vector. A failed op is raised here, on the rank's
+// own stack, so a PeerDeadError reaches the protected-collective
+// boundary as a panic of the rank's body.
+func (t *Transport) run(o *op) (int64, []int64) {
+	o.sp.SleepSteps(o.Step(), o)
+	if o.fail != failNone {
+		o.raise()
+	}
+	ctl, vec := o.m.ctl, o.m.vec
+	*o = op{}
+	ops.Put(o)
+	return ctl, vec
+}
+
+// raise frees the failed o and panics with its failure.
+func (o *op) raise() {
+	var v any
+	switch o.fail {
+	case failDead:
+		v = liveness.NewPeerDeadError(o.b.DeadSet())
+	case failMismatch:
+		v = mismatch(o.in.peer, o.me, o.tag, !o.ctl, &o.m)
+	default:
+		v = fmt.Sprintf("shm: size mismatch on %d->%d: staged %d, expected %d", o.in.peer, o.me, o.got, o.in.size)
+	}
+	*o = op{}
+	ops.Put(o)
+	panic(v)
+}
+
+// Step runs the phase that follows the op's current sleep or park.
+func (o *op) Step() sim.Time {
+	switch o.phase {
+	case phStage:
+		return o.staged()
+	case phPost:
+		o.qout.Sent(o.sp)
+		return o.posted()
+	case phTake:
+		o.qin.Received(o.sp, &o.m)
+		return o.taken()
+	case phReady:
+		return o.ready()
+	case phDrain:
+		return o.drained()
+	case phAwaitPost:
+		if o.qout.Sent(o.sp) {
+			return o.posted()
+		}
+		return o.missed(o.out.peer, true)
+	case phAwaitTake:
+		if o.qin.Received(o.sp, &o.m) {
+			return o.taken()
+		}
+		return o.missed(o.in.peer, false)
+	}
+	return o.next()
+}
+
+// next stages the next outgoing cell, takes the next incoming one, or
+// ends the op.
+func (o *op) next() sim.Time {
+	if !o.out.done {
+		o.phase = phStage
+		if o.ctl {
+			return o.cost
+		}
+		o.ct = o.t.beginCell(min(int64(o.t.node.Arch.ShmCellSize), o.out.size-o.sent))
+		return o.ct
+	}
+	if !o.in.done {
+		return o.take()
+	}
+	return o.finish()
+}
+
+// staged follows an outgoing cell's copy: it builds the cell's message
+// and posts it. A control run's message is built before it starts.
+func (o *op) staged() sim.Time {
+	if !o.ctl {
+		o.t.node.EndCopy()
+		o.copyT += o.ct
+		out := &o.out
+		n := min(int64(o.t.node.Arch.ShmCellSize), out.size-o.sent)
+		o.m = message{tag: o.tag, size: n, last: o.sent+n >= out.size}
+		if n > 0 {
+			at := out.addr + kernel.Addr(o.sent)
+			if o.t.node.CopyData {
+				o.m.data = append([]byte(nil), out.proc.Bytes(at, n)...)
+			}
+			if out.proc.PayloadTracked() {
+				o.m.sum = out.proc.RangeDigest(at, n)
+			}
+		}
+	}
+	return o.post()
+}
+
+// ready starts consuming the taken message: an incoming cell's copy,
+// or a control message's consume cost.
+func (o *op) ready() sim.Time {
+	o.readyAt = o.m.readyAt
+	o.phase = phDrain
+	if o.ctl {
+		return ctlCost
+	}
+	o.ct = o.t.beginCell(o.m.size)
+	return o.ct
+}
+
+// drained follows an incoming message's consumption: a cell's bytes
+// land in the receive buffer.
+func (o *op) drained() sim.Time {
+	if o.ctl {
+		o.in.done = true
+		return o.next()
+	}
+	o.t.node.EndCopy()
+	o.copyT += o.ct
+	in := &o.in
+	if n := o.m.size; n > 0 {
+		at := in.addr + kernel.Addr(o.got)
+		if o.t.node.CopyData {
+			copy(in.proc.Bytes(at, n), o.m.data)
+		}
+		in.proc.ApplyPayload(at, n, o.m.sum)
+	}
+	o.got += o.m.size
+	in.done = o.m.last
+	return o.next()
+}
+
+// finish traces the op's last take and closes its span, and checks
+// that the incoming message had the expected size.
+func (o *op) finish() sim.Time {
+	if rec := o.t.node.Recorder(); rec != nil {
+		o.traceEnd(rec)
+	}
+	if !o.ctl && o.got != o.in.size {
+		o.fail = failSize
+	}
+	return sim.StepDone
+}
+
+// traceEnd traces the op's last take as an edge and closes a
+// pipeline's span.
+func (o *op) traceEnd(rec *trace.Recorder) {
+	t := o.t
+	if o.ctl {
+		if o.draining {
+			t.edge(rec, o.sp, o.in.peer, o.me, o.tag, o.readyAt, o.waitStart, o.readyTs)
+		}
+		return
+	}
+	if o.draining {
+		t.edge(rec, o.sp, o.in.peer, o.me, o.tag, o.readyAt, o.waitStart, o.readyTs, trace.F("bytes", float64(o.in.size)))
+	}
+	rec.End(o.span, trace.F("copy", o.copyT))
 }

@@ -106,38 +106,52 @@ func NewChan[T any](s *Simulation, capacity int) *Chan[T] {
 // Len returns the number of buffered messages.
 func (c *Chan[T]) Len() int { return c.buf.len() }
 
+// Each blocking operation is its step form followed, when that parks,
+// by the wait and the step form's completion: a process blocked in Send
+// or Recv and a Stepper parked in SendStep or RecvStep sit in the same
+// queues, are woken by the same hand-offs and leave at the same
+// dispatch.
+
 // Send delivers v, blocking in virtual time until the channel can accept
 // it.
 func (c *Chan[T]) Send(p *Proc, v T) {
-	// Direct hand-off to a waiting receiver preserves FIFO order only
-	// when no messages are buffered ahead of v.
-	if c.recvq.len() > 0 && c.buf.len() == 0 {
-		w := c.recvq.pop()
-		w.val, w.ok = v, true
-		w.disarm()
-		w.p.wake(c.sim.now)
-		return
+	if !c.SendStep(p, &v) {
+		p.yieldToken()
+		c.Sent(p)
 	}
-	if c.buf.len() < c.cap {
-		c.buf.push(v)
-		return
+}
+
+// SendStep is Send as a Stepper's step: it delivers *v as Send would
+// and reports true, or queues p as a sender and reports false. The
+// step must then return StepPark; when p next steps, the value has been
+// taken, and the step calls Sent.
+func (c *Chan[T]) SendStep(p *Proc, v *T) bool {
+	if c.deliver(v) {
+		return true
 	}
-	c.sendq.push(&sendWaiter[T]{p: p, val: v})
-	p.block(blockedChanSend)
+	c.sendq.push(sendWaiterOf(p, v, nil))
+	p.blockedOn = blockedChanSend
+	return false
 }
 
 // TrySend delivers v without blocking; it reports whether the value was
 // accepted.
-func (c *Chan[T]) TrySend(v T) bool {
+func (c *Chan[T]) TrySend(v T) bool { return c.deliver(&v) }
+
+// deliver hands *v to the longest-waiting receiver, or buffers it, and
+// reports whether either was possible. Direct hand-off to a waiting
+// receiver preserves FIFO order only when no messages are buffered
+// ahead of v.
+func (c *Chan[T]) deliver(v *T) bool {
 	if c.recvq.len() > 0 && c.buf.len() == 0 {
 		w := c.recvq.pop()
-		w.val, w.ok = v, true
+		w.val, w.ok = *v, true
 		w.disarm()
 		w.p.wake(c.sim.now)
 		return true
 	}
 	if c.buf.len() < c.cap {
-		c.buf.push(v)
+		c.buf.push(*v)
 		return true
 	}
 	return false
@@ -145,32 +159,56 @@ func (c *Chan[T]) TrySend(v T) bool {
 
 // Recv blocks in virtual time until a message is available and returns it.
 func (c *Chan[T]) Recv(p *Proc) T {
+	var v T
+	if !c.RecvStep(p, &v) {
+		p.yieldToken()
+		c.Received(p, &v)
+	}
+	return v
+}
+
+// RecvStep is Recv as a Stepper's step: it takes the next message into
+// *v as Recv would and reports true, or queues p as a receiver and
+// reports false. The step must then return StepPark and, when p next
+// steps, call Received for the message.
+func (c *Chan[T]) RecvStep(p *Proc, v *T) bool {
+	if c.take(v) {
+		return true
+	}
+	c.recvq.push(waiterOf[T](p, nil))
+	p.blockedOn = blockedChanRecv
+	return false
+}
+
+// take moves the next message into *v and reports whether there was
+// one: the buffer's head, after which a parked sender can occupy the
+// freed slot, or on a rendezvous channel a parked sender's value.
+func (c *Chan[T]) take(v *T) bool {
 	if c.buf.len() > 0 {
-		v := c.buf.pop()
-		// A parked sender can now occupy the freed slot.
+		*v = c.buf.pop()
 		if c.sendq.len() > 0 {
 			sw := c.sendq.pop()
 			c.buf.push(sw.val)
-			sw.ok = true
-			sw.disarm()
-			sw.p.wake(c.sim.now)
+			c.taken(sw)
 		}
-		return v
+		return true
 	}
-	if c.sendq.len() > 0 { // rendezvous: take directly from a parked sender
+	if c.sendq.len() > 0 {
 		sw := c.sendq.pop()
-		sw.ok = true
-		sw.disarm()
-		sw.p.wake(c.sim.now)
-		return sw.val
+		*v = sw.val
+		c.taken(sw)
+		return true
 	}
-	rw := waiterOf[T](p, nil)
-	c.recvq.push(rw)
-	p.block(blockedChanRecv)
-	if !rw.ok {
-		panic("sim: chan recv woke without a value")
-	}
-	return release(rw)
+	return false
+}
+
+// taken wakes a parked sender whose value a receiver has just taken,
+// dropping the waiter's copy so it does not pin the message.
+func (c *Chan[T]) taken(sw *sendWaiter[T]) {
+	var zero T
+	sw.val, sw.ok = zero, true
+	sw.disarm()
+	sw.p.wake(c.sim.now)
 }
 
 // waiterOf returns p's receive waiter for element type T, armed with
@@ -187,6 +225,18 @@ func waiterOf[T any](p *Proc, tm *timer) *recvWaiter[T] {
 	return rw
 }
 
+// sendWaiterOf returns p's send waiter for element type T, holding *v
+// and armed with tm; like a receive waiter, it is kept across sends.
+func sendWaiterOf[T any](p *Proc, v *T, tm *timer) *sendWaiter[T] {
+	sw, ok := p.sendWaiter.(*sendWaiter[T])
+	if !ok {
+		sw = new(sendWaiter[T])
+		p.sendWaiter = sw
+	}
+	sw.p, sw.val, sw.ok, sw.tm = p, *v, false, tm
+	return sw
+}
+
 // release returns the value a woken waiter carried and zeroes the
 // waiter, which no queue references any more, for its next wait: a
 // stale ok or val would answer the next receive, a stale tm (already
@@ -201,26 +251,9 @@ func release[T any](rw *recvWaiter[T]) T {
 
 // TryRecv returns a message if one is immediately available.
 func (c *Chan[T]) TryRecv() (T, bool) {
-	var zero T
-	if c.buf.len() > 0 {
-		v := c.buf.pop()
-		if c.sendq.len() > 0 {
-			sw := c.sendq.pop()
-			c.buf.push(sw.val)
-			sw.ok = true
-			sw.disarm()
-			sw.p.wake(c.sim.now)
-		}
-		return v, true
-	}
-	if c.sendq.len() > 0 {
-		sw := c.sendq.pop()
-		sw.ok = true
-		sw.disarm()
-		sw.p.wake(c.sim.now)
-		return sw.val, true
-	}
-	return zero, false
+	var v T
+	ok := c.take(&v)
+	return v, ok
 }
 
 // RecvTimeout is Recv with a virtual-time deadline: it returns (v, true)
@@ -232,21 +265,46 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 // the timeout wins: its event was scheduled first, so it has the earlier
 // sequence number at the tied instant.
 func (c *Chan[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
-	var zero T
+	var v T
+	if c.RecvTimeoutStep(p, &v, d) {
+		return v, true
+	}
+	p.yieldToken()
+	ok := c.Received(p, &v)
+	return v, ok
+}
+
+// RecvTimeoutStep is RecvTimeout as a Stepper's step: it takes a
+// message available now into *v and reports true, or queues p as a
+// receiver with a deadline d from now and reports false. The step must
+// then return StepPark and, when p next steps, call Received to learn
+// whether a message came in time.
+func (c *Chan[T]) RecvTimeoutStep(p *Proc, v *T, d Time) bool {
 	if d < 0 {
 		panic("sim: negative recv timeout")
 	}
-	if v, ok := c.TryRecv(); ok {
-		return v, true
+	if c.take(v) {
+		return true
 	}
-	rw := waiterOf[T](p, c.sim.scheduleTimer(p, c.sim.now+d))
-	c.recvq.push(rw)
-	p.block(blockedChanRecvTimed)
+	c.recvq.push(waiterOf[T](p, c.sim.scheduleTimer(p, c.sim.now+d)))
+	p.blockedOn = blockedChanRecvTimed
+	return false
+}
+
+// Received completes a RecvStep or RecvTimeoutStep that parked, once p
+// runs again: it moves the message into *v and reports true, or, when
+// a timed receive's deadline fired first, withdraws p from the waiter
+// queue — so a later sender cannot hand a value (and a wake) to a
+// process that left — and reports false.
+func (c *Chan[T]) Received(p *Proc, v *T) bool {
+	rw := p.recvWaiter.(*recvWaiter[T])
 	if rw.ok {
-		return release(rw), true
+		*v = release(rw)
+		return true
 	}
-	// The deadline fired: withdraw from the waiter queue so a later
-	// sender cannot hand a value (and a wake) to a process that left.
+	if rw.tm == nil {
+		panic("sim: chan recv woke without a value")
+	}
 	for i, w := range c.recvq.items[c.recvq.head:] {
 		if w == rw {
 			c.recvq.removeAt(i)
@@ -254,30 +312,51 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
 		}
 	}
 	release(rw)
-	return zero, false
+	return false
 }
 
 // SendTimeout is Send with a virtual-time deadline: it reports whether
 // the channel accepted v within d microseconds of now. Like RecvTimeout,
 // a send that completes in time is indistinguishable from a plain Send.
 func (c *Chan[T]) SendTimeout(p *Proc, v T, d Time) bool {
+	if c.SendTimeoutStep(p, &v, d) {
+		return true
+	}
+	p.yieldToken()
+	return c.Sent(p)
+}
+
+// SendTimeoutStep is SendTimeout as a Stepper's step: it delivers *v
+// now and reports true, or queues p as a sender with a deadline d from
+// now and reports false. The step must then return StepPark and, when p
+// next steps, call Sent to learn whether the value was taken in time.
+func (c *Chan[T]) SendTimeoutStep(p *Proc, v *T, d Time) bool {
 	if d < 0 {
 		panic("sim: negative send timeout")
 	}
-	if c.TrySend(v) {
+	if c.deliver(v) {
 		return true
 	}
-	sw := &sendWaiter[T]{p: p, val: v, tm: c.sim.scheduleTimer(p, c.sim.now+d)}
-	c.sendq.push(sw)
-	p.block(blockedChanSendTimed)
-	if sw.ok {
-		return true
-	}
-	for i, w := range c.sendq.items[c.sendq.head:] {
-		if w == sw {
-			c.sendq.removeAt(i)
-			break
+	c.sendq.push(sendWaiterOf(p, v, c.sim.scheduleTimer(p, c.sim.now+d)))
+	p.blockedOn = blockedChanSendTimed
+	return false
+}
+
+// Sent completes a SendStep or SendTimeoutStep that parked, once p runs
+// again: it reports whether a receiver took the value, and otherwise —
+// a timed send's deadline fired first — withdraws p from the sender
+// queue.
+func (c *Chan[T]) Sent(p *Proc) bool {
+	sw := p.sendWaiter.(*sendWaiter[T])
+	ok := sw.ok
+	if !ok {
+		for i, w := range c.sendq.items[c.sendq.head:] {
+			if w == sw {
+				c.sendq.removeAt(i)
+				break
+			}
 		}
 	}
-	return false
+	*sw = sendWaiter[T]{}
+	return ok
 }

@@ -95,9 +95,10 @@ type Proc struct {
 	blockedOn string        // diagnostic: what primitive the proc is blocked on
 	started   bool
 	finished  bool
-	// recvWaiter is the *recvWaiter[T] the process parks with in a
-	// blocking Chan receive, kept for its next one (see waiterOf).
-	recvWaiter any
+	// recvWaiter and sendWaiter are the *recvWaiter[T] and
+	// *sendWaiter[T] the process parks with in a Chan receive or send,
+	// kept for its next one (see waiterOf).
+	recvWaiter, sendWaiter any
 	// steps is the Stepper Run drives while the coroutine waits in
 	// SleepSteps; nil otherwise.
 	steps Stepper
