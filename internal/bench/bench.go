@@ -15,6 +15,7 @@ import (
 
 	"camc/internal/arch"
 	"camc/internal/fault"
+	"camc/internal/liveness"
 	"camc/internal/trace"
 )
 
@@ -47,8 +48,15 @@ type Options struct {
 
 	// Deadline, when > 0, overrides the liveness failure detector's
 	// blocking-wait deadline (simulated microseconds) for the x9 chaos
-	// experiment (the camc-bench -deadline flag). 0 keeps the x9 default.
+	// experiment (the camc-bench -deadline flag). 0 keeps the x9 default;
+	// anything else must pass liveness.CheckDeadline, or Run returns its
+	// error.
 	Deadline float64
+}
+
+// check rejects options no experiment can run with.
+func (o Options) check() error {
+	return liveness.CheckDeadline(o.Deadline)
 }
 
 func (o Options) archs(defaults ...*arch.Profile) []*arch.Profile {
@@ -163,6 +171,9 @@ type Experiment struct {
 
 // Run generates and prints the experiment's tables.
 func (e *Experiment) Run(w io.Writer, o Options) error {
+	if err := o.check(); err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "=== %s: %s ===\n\n", e.ID, e.Title)
 	for _, t := range e.Tables(o) {
 		t.Fprint(w)

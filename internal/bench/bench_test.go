@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -598,6 +599,27 @@ func TestRunFormatVariants(t *testing.T) {
 		}
 		if !strings.Contains(sb.String(), "tab5") {
 			t.Fatalf("format %d output missing header", f)
+		}
+	}
+}
+
+// TestRunRejectsBadDeadline: Options.Deadline reaches the recovery
+// harness only if liveness.CheckDeadline accepts it; otherwise Run and
+// RunFormatSink return the error and print nothing, instead of a rank
+// panicking inside x9's recovery run.
+func TestRunRejectsBadDeadline(t *testing.T) {
+	x9, ok := ByID("x9")
+	if !ok {
+		t.Fatal("x9 not registered")
+	}
+	for _, d := range []float64{1, 5, 10, -5, math.NaN(), math.Inf(1)} {
+		var out strings.Builder
+		o := Options{Quick: true, Deadline: d}
+		if err := x9.Run(&out, o); err == nil || out.Len() != 0 {
+			t.Errorf("Run with deadline %v: err %v, %d bytes printed; want an error and no output", d, err, out.Len())
+		}
+		if err := x9.RunFormatSink(&out, o, FormatCSV, nil); err == nil || out.Len() != 0 {
+			t.Errorf("RunFormatSink with deadline %v: err %v, %d bytes printed; want an error and no output", d, err, out.Len())
 		}
 	}
 }

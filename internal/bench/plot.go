@@ -152,6 +152,9 @@ const (
 // allowed). The sink sees tables in output order, so store appends are
 // deterministic, and recording never changes the printed output.
 func (e *Experiment) RunFormatSink(w io.Writer, o Options, f Format, sink func(Table)) error {
+	if err := o.check(); err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "=== %s: %s ===\n\n", e.ID, e.Title)
 	for _, t := range e.Tables(o) {
 		if sink != nil {

@@ -102,6 +102,22 @@ func CheckDeadline(d sim.Time) error {
 	return nil
 }
 
+// Check reports an error unless c, with unset fields defaulted, can
+// drive a detector: a finite poll quantum, and a finite deadline
+// longer than that poll. A deadline at or below the poll declares ranks
+// dead between two of their own beats, so a recovery run would fail
+// inside the harness instead of at its boundary.
+func (c Config) Check() error {
+	c = c.withDefaults()
+	if math.IsNaN(c.Poll) || math.IsInf(c.Poll, 0) {
+		return fmt.Errorf("liveness: poll %v is not a finite time", c.Poll)
+	}
+	if math.IsNaN(c.Deadline) || math.IsInf(c.Deadline, 0) || c.Deadline <= c.Poll {
+		return fmt.Errorf("liveness: deadline %v is not a finite time above the %v us poll quantum", c.Deadline, c.Poll)
+	}
+	return nil
+}
+
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	d := Defaults()

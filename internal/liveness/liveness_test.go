@@ -2,6 +2,7 @@ package liveness
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -172,5 +173,32 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if cfg.Poll >= cfg.Deadline {
 		t.Fatalf("poll %g >= deadline %g", cfg.Poll, cfg.Deadline)
+	}
+}
+
+// TestConfigCheck: a config passes only if, with unset fields
+// defaulted, its poll is finite and its deadline is a finite time above
+// that poll.
+func TestConfigCheck(t *testing.T) {
+	for _, tc := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{}, true},
+		{Config{Deadline: 11}, true},
+		{Config{Deadline: 6, Poll: 5}, true},
+		{Config{Deadline: 10}, false},
+		{Config{Deadline: 1}, false},
+		{Config{Deadline: 5, Poll: 5}, false},
+		{Config{Deadline: 100, Poll: 200}, false},
+		{Config{Poll: 10_000}, false},
+		{Config{Deadline: math.NaN()}, false},
+		{Config{Deadline: math.Inf(1)}, false},
+		{Config{Deadline: 100, Poll: math.NaN()}, false},
+		{Config{Deadline: 100, Poll: math.Inf(1)}, false},
+	} {
+		if err := tc.cfg.Check(); (err == nil) != tc.ok {
+			t.Errorf("%+v: Check() = %v, want ok %v", tc.cfg, err, tc.ok)
+		}
 	}
 }

@@ -25,6 +25,9 @@ func CollectiveChecked(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, cor
 	if _, _, err := payload.BufSizes(kind, procs, count); err != nil {
 		return 0, fault.Stats{}, err
 	}
+	if err := opts.checkLiveness(); err != nil {
+		return 0, fault.Stats{}, err
+	}
 	c := mpi.New(mpi.Config{Arch: a, Procs: procs, CopyData: true, MemPerProc: MemPerRank(a, procs, count, iters), Mechanism: opts.Mechanism, Ambient: opts.Ambient, Fault: opts.Fault, Liveness: opts.Liveness})
 	send, recv, sends := seedComm(c, kind, count)
 	lat, err := Time(c, algo, send, recv, count, opts.Root, iters, opts.skew(procs*iters))

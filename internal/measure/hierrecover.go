@@ -91,6 +91,9 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	if opts.Liveness != nil {
 		lcfg = *opts.Liveness
 	}
+	if err := lcfg.Check(); err != nil {
+		return ClusterRecoveryResult{}, err
+	}
 	cl := cluster.New(cluster.Config{
 		Arch: a, NumNodes: opts.Nodes, PPN: opts.PPN, Topo: opts.Topo,
 		CopyData: opts.CopyData, Fault: opts.Fault, Liveness: &lcfg, Kills: opts.Kills,

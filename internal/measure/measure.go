@@ -60,8 +60,9 @@ type Options struct {
 // invocation: the time from the instant the last rank enters the
 // operation to the instant the last rank leaves it, averaged over
 // Options.Iters invocations (see Time). Runs are cost-only (no data
-// movement). It panics on a kind payload.BufSizes does not lay out and
-// on a simulation error.
+// movement). It panics on a kind payload.BufSizes does not lay out, on
+// a liveness config that fails liveness.Config.Check, and on a
+// simulation error.
 func Collective(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args), count int64, opts Options) float64 {
 	return collective(a, kind, algo, count, opts, nil)
 }
@@ -147,6 +148,15 @@ func (o Options) iters() int {
 	return o.Iters
 }
 
+// checkLiveness rejects a liveness config that cannot drive a detector
+// (liveness.Config.Check) before it reaches a rank's wait.
+func (o Options) checkLiveness() error {
+	if o.Liveness == nil {
+		return nil
+	}
+	return o.Liveness.Check()
+}
+
 // skew draws the entry skew of n rank-invocations (nil without
 // SkewSeed/MaxSkew).
 func (o Options) skew(n int) []float64 {
@@ -160,6 +170,9 @@ func collective(a *arch.Profile, kind core.Kind, algo func(*mpi.Rank, core.Args)
 	procs, iters := opts.procs(a), opts.iters()
 	sendLen, recvLen, err := payload.BufSizes(kind, procs, count)
 	if err != nil {
+		panic(err)
+	}
+	if err := opts.checkLiveness(); err != nil {
 		panic(err)
 	}
 	sm := simPool.Get().(*sim.Simulation)

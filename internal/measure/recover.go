@@ -82,6 +82,9 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 		d := liveness.Defaults()
 		lcfg = &d
 	}
+	if err := lcfg.Check(); err != nil {
+		return RecoveryResult{}, err
+	}
 	if _, _, err := payload.BufSizes(kind, procs, count); err != nil {
 		return RecoveryResult{}, err
 	}

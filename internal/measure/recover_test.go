@@ -2,9 +2,11 @@ package measure
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"camc/internal/arch"
+	"camc/internal/cluster"
 	"camc/internal/core"
 	"camc/internal/fault"
 	"camc/internal/liveness"
@@ -204,5 +206,52 @@ func TestRecoveredMatchesFreshRun(t *testing.T) {
 	// algorithm passes its own verification (same pattern function).
 	if _, _, err := CollectiveChecked(a, core.KindScatter, want.Run, 8<<10, Options{Procs: res.Survivors}); err != nil {
 		t.Fatalf("fresh run at survivor count: %v", err)
+	}
+}
+
+// TestRecoveredRejectsBadDeadline: a liveness config whose deadline is
+// not a finite time above its own poll quantum is rejected with an
+// error at the harness boundary, not raised as a rank panic inside the
+// recovery run. The first row is the reproducer that used to panic with
+// "liveness: dead ranks [1]" in rank0.
+func TestRecoveredRejectsBadDeadline(t *testing.T) {
+	knl := arch.KNL()
+	kill := &fault.Config{KillProb: 0.5, KillMaxOp: 1, Seed: 3}
+	gather, err := core.LookupAlgorithm(core.KindGather, "binomial-shm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  liveness.Config
+		ok   bool
+	}{
+		{"deadline 1 below the default poll", liveness.Config{Deadline: 1}, false},
+		{"deadline at the default poll", liveness.Config{Deadline: 10}, false},
+		{"deadline at its own poll", liveness.Config{Deadline: 5, Poll: 5}, false},
+		{"deadline below its own poll", liveness.Config{Deadline: 50, Poll: 60}, false},
+		{"deadline NaN", liveness.Config{Deadline: math.NaN()}, false},
+		{"deadline +Inf", liveness.Config{Deadline: math.Inf(1)}, false},
+		{"poll +Inf", liveness.Config{Deadline: 100, Poll: math.Inf(1)}, false},
+		{"deadline above its own poll", liveness.Config{Deadline: 50, Poll: 5}, true},
+		{"defaults", liveness.Config{}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			opts := Options{Procs: 8, Fault: kill, Liveness: &cfg}
+			_, err := CollectiveRecovered(knl, core.KindGather, "binomial-shm", 4096, opts)
+			if (err == nil) != tc.ok {
+				t.Fatalf("CollectiveRecovered: err = %v, want ok %v", err, tc.ok)
+			}
+			_, _, err = CollectiveChecked(knl, core.KindGather, gather.Run, 4096, Options{Procs: 8, Liveness: &cfg})
+			if (err == nil) != tc.ok {
+				t.Fatalf("CollectiveChecked: err = %v, want ok %v", err, tc.ok)
+			}
+			_, err = ClusterRecovered(knl, core.KindGather, cluster.DesignLeader, "tuned", 64,
+				ClusterOptions{Nodes: 2, PPN: 2, Liveness: &cfg})
+			if (err == nil) != tc.ok {
+				t.Fatalf("ClusterRecovered: err = %v, want ok %v", err, tc.ok)
+			}
+		})
 	}
 }
