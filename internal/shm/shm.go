@@ -8,7 +8,12 @@
 // (buffer addresses, RTS/CTS, 0-byte synchronizations) ride the same
 // per-pair FIFO queues. Every message is stamped and queued by one post
 // and received, checked and waited out by one take; Send, Recv and
-// Exchange are one alternating cell pipeline over the two.
+// Exchange are one alternating cell pipeline over the two, and SendCtl
+// and RecvCtl are runs of one control message. Each such operation is
+// one sim.Stepper (op) that the rank hands to SleepSteps, so a
+// contended operation costs the rank's coroutine one suspension, not
+// one per cell, queue wait or liveness quantum, at the same virtual
+// instants and dispatch counts as the blocking calls it replaced.
 //
 // The package also provides the small-message control collectives the
 // native CMA collectives are built from: Bcast64, Gather64, Allgather64,
@@ -524,7 +529,15 @@ const (
 	failSize            // the incoming message's size differs from the expected one
 )
 
-var ops sim.FreeList[op]
+// ops is the process-wide free list of op states. Its cap is the
+// simulator's idle-worker cap: a rank blocked in a message operation
+// holds one state, as it holds one coroutine, so a run with more ranks
+// in flight than that allocates the rest, as it starts their
+// coroutines. At the default cap of 1024, a 256-node cluster cell
+// (4096 ranks, each in a control wait) allocated ~230 states per
+// perfbench fabric op (+2%); at 4096 it allocates none, and the list
+// pins at most 4096 states of 320 bytes.
+var ops = sim.FreeList[op]{Cap: 4096}
 
 // newOp returns an op of rank me for messages tagged tag.
 func (t *Transport) newOp(sp *sim.Proc, me, tag int) *op {

@@ -16,13 +16,18 @@
 // workers so a spawn starts no goroutine and regrows no stack in steady
 // state, and a sleep with no pending event before its own wake-up
 // advances the clock in place with no heap or coroutine traffic at all.
-// A run of sleeps known as a state machine — the kernel's CMA op, one
-// lock+pin and one copy sleep per page chunk — goes through SleepSteps:
+// A run of sleeps and channel waits known as a state machine — the
+// kernel's CMA op, one lock+pin and one copy sleep per page chunk; a
+// shared-memory message operation, a copy sleep and a queue wait per
+// cell; a run of in-process block copies — goes through SleepSteps:
 // Run calls its steps at each of the process's wake-ups on its own
 // stack, so a contended op costs its coroutine one switch in and one
-// out, not two per sleep. None of this changes virtual-time results or
-// dispatch counts; TestDispatcherRegression and
-// TestSleepStepsMatchesSleep pin that equivalence.
+// out, not two per sleep or wait. A step waits on a Chan through the
+// step forms of its operations (SendStep, RecvStep and the timed
+// pair), which queue the process exactly as the blocking operations
+// do. None of this changes virtual-time results or dispatch counts;
+// TestDispatcherRegression, TestSleepStepsMatchesSleep and
+// TestChanStepsMatchBlocking pin that equivalence.
 //
 // Virtual time is a float64 measured in microseconds, matching the unit
 // the reproduced paper reports.
@@ -534,15 +539,15 @@ func (p *Proc) sleepFor(d Time) (own bool) {
 type Stepper interface {
 	// Step runs the work due at the current instant and returns what
 	// the process does next: sleep that many microseconds (≥ 0) and
-	// Step again, StepPark once Mutex.Acquire has queued it, or
-	// StepDone.
+	// Step again, StepPark once Mutex.Acquire or a Chan step form has
+	// queued it, or StepDone.
 	Step() Time
 }
 
 // Step outcomes other than a sleep.
 const (
 	StepDone Time = -1 // the run is over; the process's body continues
-	StepPark Time = -2 // wait with no event until a Mutex hand-off wakes the process
+	StepPark Time = -2 // wait with no event until a Mutex or Chan hand-off (or a timed wait's deadline) wakes the process
 )
 
 // SleepSteps sleeps d, then runs st until a Step returns StepDone.
