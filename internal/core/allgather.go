@@ -273,13 +273,13 @@ func AllgatherBruck(r *mpi.Rank, a Args) {
 		filled += n
 		step++
 	}
-	// Final rotation: Recv[(me+i) mod p] = work[i], as one run of block
-	// copies.
+	// Final rotation: Recv[(me+i) mod p] = work[i], as one run of
+	// stepped copies (kernel.Blocks).
 	b := r.Blocks()
 	for i := 0; i < p; i++ {
 		b.Add(a.Recv+kernel.Addr(int64((me+i)%p)*a.Count), work+kernel.Addr(int64(i)*a.Count), a.Count)
 	}
-	r.LocalCopyBlocks(b)
+	b.Run()
 	r.Barrier()
 }
 

@@ -120,12 +120,12 @@ func AlltoallBruck(r *mpi.Rank, a Args) {
 	stageIn := r.Alloc(int64((p+1)/2) * a.Count)
 
 	// Phase 1: local rotation: work[j] = Send[(j+me) mod p]. Each loop
-	// of block copies runs as one LocalCopyBlocks run.
+	// of block copies is one run of stepped copies (kernel.Blocks).
 	b := r.Blocks()
 	for j := 0; j < p; j++ {
 		b.Add(work+kernel.Addr(int64(j)*a.Count), a.Send+kernel.Addr(int64((j+me)%p)*a.Count), a.Count)
 	}
-	r.LocalCopyBlocks(b)
+	b.Run()
 	// Phase 2: log steps.
 	for pow := 1; pow < p; pow <<= 1 {
 		sendTo := (me + pow) % p
@@ -139,7 +139,7 @@ func AlltoallBruck(r *mpi.Rank, a Args) {
 				nsel++
 			}
 		}
-		r.LocalCopyBlocks(b)
+		b.Run()
 		nrecv := 0
 		for j := 0; j < p; j++ {
 			if j&pow != 0 {
@@ -156,14 +156,14 @@ func AlltoallBruck(r *mpi.Rank, a Args) {
 				u++
 			}
 		}
-		r.LocalCopyBlocks(b)
+		b.Run()
 	}
 	// Phase 3: inverse rotation with reversal: Recv[j] = work[(me-j+p) mod p].
 	b = r.Blocks()
 	for j := 0; j < p; j++ {
 		b.Add(a.Recv+kernel.Addr(int64(j)*a.Count), work+kernel.Addr(int64((me-j+p)%p)*a.Count), a.Count)
 	}
-	r.LocalCopyBlocks(b)
+	b.Run()
 }
 
 // AlltoallAlgorithms returns the registered Alltoall implementations.

@@ -13,7 +13,7 @@ import (
 )
 
 // blocksRun runs each process's list of copy runs, as loops of
-// LocalCopy or as LocalCopyBlocks runs, with a sleep before each run so
+// LocalCopy or as Blocks runs, with a sleep before each run so
 // that the processes' copies interleave. It returns the log of each
 // run's end instant or panic, the final clock bits, EventsProcessed and
 // each process's memory digest.
@@ -40,11 +40,11 @@ func blocksRun(runs [][][]block, stepped bool) ([]string, uint64, uint64, []uint
 						}
 						return nil
 					}
-					b := p.Blocks()
+					b := p.Blocks(sp)
 					for _, x := range run {
 						b.Add(x.dst, x.src, x.size)
 					}
-					p.LocalCopyBlocks(sp, b)
+					b.Run()
 					return nil
 				}()
 				log = append(log, fmt.Sprintf("p%d run %d %v @%x", i, k, err, math.Float64bits(sp.Now())))
@@ -64,13 +64,13 @@ func blocksRun(runs [][][]block, stepped bool) ([]string, uint64, uint64, []uint
 	return log, math.Float64bits(s.Now()), s.EventsProcessed(), digests
 }
 
-// TestLocalCopyBlocksMatchesLocalCopy: random runs of block copies on
-// contending processes — with zero-size, negative-size and overlapping
-// blocks, and out-of-range blocks whose panic ends the process — give
-// the same log of end instants and panics, final clock bits,
-// EventsProcessed and memory digests through LocalCopyBlocks as through
-// a loop of LocalCopy.
-func TestLocalCopyBlocksMatchesLocalCopy(t *testing.T) {
+// TestBlocksMatchLocalCopy: random runs of block copies on contending
+// processes — short runs and runs of more than one batch, with
+// zero-size, negative-size and overlapping blocks, and out-of-range
+// blocks whose panic ends the process — give the same log of end
+// instants and panics, final clock bits, EventsProcessed and memory
+// digests as Blocks runs as through loops of LocalCopy.
+func TestBlocksMatchLocalCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	panics := 0
 	for c := 0; c < 200; c++ {
@@ -78,9 +78,13 @@ func TestLocalCopyBlocksMatchesLocalCopy(t *testing.T) {
 		for i := range runs {
 			for k := rng.Intn(5); k > 0; k-- {
 				var run []block
-				for j := rng.Intn(9); j > 0; j-- {
+				n := rng.Intn(9)
+				if rng.Intn(3) == 0 {
+					n = rng.Intn(3 * blockBatch)
+				}
+				for j := n; j > 0; j-- {
 					b := block{dst: Addr(rng.Intn(1 << 15)), src: Addr(rng.Intn(1 << 15)), size: int64(rng.Intn(3000))}
-					switch rng.Intn(12) {
+					switch rng.Intn(4 + 8*n) {
 					case 0:
 						b.size = 0
 					case 1:
@@ -115,20 +119,19 @@ func TestLocalCopyBlocksMatchesLocalCopy(t *testing.T) {
 	}
 }
 
-// TestLocalCopyBlocksAllocs pins a warm LocalCopyBlocks run of 64
-// blocks at 0 allocations: the run and its block list come off the
-// free list.
-func TestLocalCopyBlocksAllocs(t *testing.T) {
+// TestBlocksAllocs pins a warm Blocks run of 64 blocks, two batches,
+// at 0 allocations: the run comes off the free list.
+func TestBlocksAllocs(t *testing.T) {
 	s := sim.New()
 	n := NewNode(s, arch.KNL())
 	n.CopyData = false
 	p := n.NewProcess(1 << 20)
 	body := func(sp *sim.Proc) {
-		b := p.Blocks()
+		b := p.Blocks(sp)
 		for j := 0; j < 64; j++ {
 			b.Add(Addr(j*4096), Addr(1<<19+j*4096), 4096)
 		}
-		p.LocalCopyBlocks(sp, b)
+		b.Run()
 	}
 	cycle := func() {
 		s.Reset()

@@ -857,12 +857,7 @@ func (r *Rank) LocalCopy(dst, src kernel.Addr, size int64) {
 	r.OS.LocalCopy(r.SP, dst, src, size)
 }
 
-// Blocks returns an empty run of in-process block copies for
-// LocalCopyBlocks.
-func (r *Rank) Blocks() *kernel.Blocks { return r.OS.Blocks() }
-
-// LocalCopyBlocks runs LocalCopy on every block of b in order, as one
-// stepped run.
-func (r *Rank) LocalCopyBlocks(b *kernel.Blocks) {
-	r.OS.LocalCopyBlocks(r.SP, b)
-}
+// Blocks returns an empty run of in-process block copies: a loop of
+// LocalCopy calls written as Add calls and one Run, which copies the
+// blocks as stepped runs at the same instants.
+func (r *Rank) Blocks() *kernel.Blocks { return r.OS.Blocks(r.SP) }
