@@ -102,10 +102,10 @@ func TestBlocksMatchLocalCopy(t *testing.T) {
 		want, wantNow, wantEvents, wantMem := blocksRun(runs, false)
 		got, gotNow, gotEvents, gotMem := blocksRun(runs, true)
 		if !slices.Equal(want, got) {
-			t.Fatalf("case %d: runs %v\nLocalCopy log\n%v\nLocalCopyBlocks log\n%v", c, runs, want, got)
+			t.Fatalf("case %d: runs %v\nLocalCopy log\n%v\nBlocks log\n%v", c, runs, want, got)
 		}
 		if wantNow != gotNow || wantEvents != gotEvents || !slices.Equal(wantMem, gotMem) {
-			t.Fatalf("case %d: LocalCopy ends at %x after %d events with digests %x, LocalCopyBlocks at %x after %d with %x",
+			t.Fatalf("case %d: LocalCopy ends at %x after %d events with digests %x, Blocks at %x after %d with %x",
 				c, wantNow, wantEvents, wantMem, gotNow, gotEvents, gotMem)
 		}
 		for _, l := range want {
