@@ -3,8 +3,6 @@ package check
 import (
 	"fmt"
 	"math"
-
-	"camc/internal/arch"
 )
 
 // SparseCrossCheck runs one spec twice — once with materialized payload
@@ -24,7 +22,8 @@ import (
 // the same correctness argument as a 8-rank byte-verified run.
 //
 // Kill plans are rejected: the recovery path re-runs on a shrunk
-// communicator whose allocation layout legitimately differs.
+// communicator whose allocation layout legitimately differs. So are
+// cluster specs: digest tracking is single-node machinery.
 // The returned RunResult is the sparse arm's (the materialized arm's on
 // its own failure).
 func SparseCrossCheck(sp Spec) (*RunResult, error) {
@@ -34,16 +33,14 @@ func SparseCrossCheck(sp Spec) (*RunResult, error) {
 	if sp.Kills() {
 		return nil, fmt.Errorf("check: %s: sparse cross-check does not support kill plans", sp)
 	}
-	prof, err := arch.ByName(sp.Arch)
-	if err != nil {
-		return nil, err
+	if sp.Nodes > 0 {
+		return nil, fmt.Errorf("check: %s: sparse cross-check does not support cluster specs", sp)
 	}
-	fcfg := sp.faultConfig()
-	mat, err := runPayload(sp, prof, fcfg, true, true)
+	mat, err := run(sp, true, true)
 	if err != nil {
 		return mat, err
 	}
-	spr, err := runPayload(sp, prof, fcfg, false, true)
+	spr, err := run(sp, false, true)
 	if err != nil {
 		return spr, err
 	}

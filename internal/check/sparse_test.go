@@ -1,10 +1,6 @@
 package check
 
-import (
-	"testing"
-
-	"camc/internal/arch"
-)
+import "testing"
 
 // TestSparseCrossCheckCorpus replays a slice of the fuzzer's seeded
 // corpus (faults on, kills off) through the sparse cross-check: every
@@ -26,14 +22,23 @@ func TestSparseCrossCheckCorpus(t *testing.T) {
 
 // TestSparseCrossCheckRejectsKills pins the kill-plan guard: recovery
 // runs shrink the communicator, so their layouts are not comparable.
+//
+// Cluster specs are rejected too: digest tracking is single-node, and
+// the cross-check used to run a cluster spec as one node of Procs
+// ranks, panicking on a world root beyond them.
 func TestSparseCrossCheckRejectsKills(t *testing.T) {
-	sp := Spec{Arch: "knl", Kind: "bcast", Algo: "knomial-read:4", Count: 4096,
-		Procs: 6, Seed: 7, Faults: "kill=0.4,killop=3,seed=5", Deadline: 2000}
-	if err := sp.Validate(); err != nil {
-		t.Fatalf("spec invalid: %v", err)
-	}
-	if _, err := SparseCrossCheck(sp); err == nil {
-		t.Fatal("kill spec accepted by SparseCrossCheck")
+	for _, sp := range []Spec{
+		{Arch: "knl", Kind: "bcast", Algo: "knomial-read:4", Count: 4096,
+			Procs: 6, Seed: 7, Faults: "kill=0.4,killop=3,seed=5", Deadline: 2000},
+		{Arch: "knl", Kind: "gather", Algo: "throttled:2", Count: 2048,
+			Procs: 3, Root: 5, Seed: 7, Nodes: 3, Topo: "fattree", Design: "flat"},
+	} {
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("spec invalid: %v", err)
+		}
+		if _, err := SparseCrossCheck(sp); err == nil {
+			t.Errorf("%s accepted by SparseCrossCheck", sp)
+		}
 	}
 }
 
@@ -41,12 +46,8 @@ func TestSparseCrossCheckRejectsKills(t *testing.T) {
 // the digests must actually depend on the payload seed, the schedule,
 // and the payload size — otherwise "equal digests" would prove nothing.
 func TestSparseDigestsDetectChanges(t *testing.T) {
-	prof, err := arch.ByName("knl")
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := Spec{Arch: "knl", Kind: "allgather", Algo: "bruck", Count: 2048, Procs: 6, Seed: 11}
-	ref, err := runPayload(base, prof, nil, false, true)
+	ref, err := run(base, false, true)
 	if err != nil {
 		t.Fatalf("base run: %v", err)
 	}
@@ -63,7 +64,7 @@ func TestSparseDigestsDetectChanges(t *testing.T) {
 		if err := sp.Validate(); err != nil {
 			t.Fatalf("%s variant invalid: %v", name, err)
 		}
-		got, err := runPayload(sp, prof, nil, false, true)
+		got, err := run(sp, false, true)
 		if err != nil {
 			t.Fatalf("%s variant: %v", name, err)
 		}

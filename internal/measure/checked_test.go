@@ -62,10 +62,24 @@ func TestCheckedCollectiveFaultFree(t *testing.T) {
 // TestCheckedCollectiveCatchesCorruption proves the harness's payload
 // check bites: every kind's real algorithm, followed by a one-byte flip
 // in rank 1's receive buffer (specified there: rank 1 is the root of
-// the rooted reductions), must fail verification at that rank.
+// the rooted reductions), must fail verification at that rank. The
+// last row flips rank 1's own send buffer instead, which no receive
+// buffer of a root-0 scatter depends on: a collective owns only Recv,
+// so the send-buffer check must catch it.
 func TestCheckedCollectiveCatchesCorruption(t *testing.T) {
 	a := arch.Broadwell()
+	type row struct {
+		kind core.Kind
+		spec string
+		send bool // flip the send buffer instead of the receive buffer
+		want string
+	}
+	var rows []row
 	for _, tc := range checkedMatrix {
+		rows = append(rows, row{tc.kind, tc.spec, false, "rank 1 offset 0"})
+	}
+	rows = append(rows, row{core.KindScatter, "throttled:4", true, "rank 1 send buffer mutated at offset 0"})
+	for _, tc := range rows {
 		al := checkedAlgo(t, tc.kind, tc.spec)
 		root := 0
 		if tc.kind == core.KindGather || tc.kind == core.KindReduce {
@@ -74,12 +88,16 @@ func TestCheckedCollectiveCatchesCorruption(t *testing.T) {
 		corrupt := func(r *mpi.Rank, args core.Args) {
 			al.Run(r, args)
 			if r.ID == 1 {
-				r.OS.Bytes(args.Recv, 1)[0] ^= 0xFF
+				buf := args.Recv
+				if tc.send {
+					buf = args.Send
+				}
+				r.OS.Bytes(buf, 1)[0] ^= 0xFF
 			}
 		}
 		_, _, err := CollectiveChecked(a, tc.kind, corrupt, 4<<10, Options{Procs: 4, Root: root})
-		if err == nil || !strings.Contains(err.Error(), "rank 1 offset 0") {
-			t.Errorf("%s/%s: corrupted payload not caught at rank 1 offset 0: %v", tc.kind, tc.spec, err)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s/%s: corruption not caught (%s): %v", tc.kind, tc.spec, tc.want, err)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package measure
 
 import (
-	"fmt"
-
 	"camc/internal/arch"
 	"camc/internal/cluster"
 	"camc/internal/core"
@@ -27,8 +25,9 @@ type ClusterOptions struct {
 	Liveness *liveness.Config
 	Kills    []cluster.Kill
 
-	// MaxSkew staggers rank entry by a seeded uniform draw in
-	// [0, MaxSkew) microseconds per world rank.
+	// MaxSkew, when positive, staggers rank entry by a uniform draw in
+	// [0, MaxSkew) microseconds per world rank from SkewSeed (0 is a
+	// seed like any other).
 	SkewSeed int64
 	MaxSkew  float64
 
@@ -108,52 +107,24 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	if _, _, err := payload.BufSizes(kind, world, count); err != nil {
 		return ClusterRecoveryResult{}, err
 	}
-	send := make([]kernel.Addr, world)
-	recv := make([]kernel.Addr, world)
-	sends := make([][]byte, world) // seeded patterns; all nil when dataless
-	for w := 0; w < world; w++ {
-		send[w], recv[w], sends[w] = seedBuffers(cl.WorldRank(w).OS, kind, world, w, count, cl.CopyData)
-	}
-	var skew []float64
-	if opts.MaxSkew > 0 {
-		skew = drawSkew(opts.SkewSeed, opts.MaxSkew, world)
-	}
-
-	// Per-original-world-rank instants; killed ranks leave their slots 0
-	// and are excluded from the reductions below.
-	starts := make([]float64, world)
-	attemptEnds := make([]float64, world)
-	rerunStarts := make([]float64, world)
-	rerunEnds := make([]float64, world)
-	agreedErr := make([]error, world)
-	survived := make([]bool, world)
-
-	// Survivor state published by the rank processes (they run one at a
-	// time; plain writes are safe). recv2/sends2 are indexed by NEW id.
-	recv2 := make([]kernel.Addr, world)
-	sends2 := make([][]byte, world)
+	t := newTally(world, kind, count, opts.Root, cl.CopyData, func(w int) *kernel.Process { return cl.WorldRank(w).OS })
+	skew := drawSkew(opts.SkewSeed, opts.MaxSkew, world)
 	var sh *cluster.Shrunk
 
 	_, runErr := cl.Run(func(r *cluster.Rank) {
 		w := r.World
 		localErr := r.Protected(func() {
 			r.WorldBarrier(world)
-			starts[w] = float64(r.SP.Now())
+			t.starts[w] = r.SP.Now()
 			if skew != nil {
 				r.SP.Sleep(skew[w])
 			}
-			coll.Run(r, cluster.Args{Send: send[w], Recv: recv[w], Count: count, Root: opts.Root})
+			coll.Run(r, cluster.Args{Send: t.first.Send[w], Recv: t.first.Recv[w], Count: count, Root: opts.Root})
 		})
-		attemptEnds[w] = float64(r.SP.Now())
-		verdict := r.WorldAgree(localErr)
-		agreedErr[w] = verdict
-		survived[w] = true
-		if verdict == nil {
+		t.ends[w] = r.SP.Now()
+		pd := t.agreed(w, r.WorldAgree(localErr))
+		if pd == nil {
 			return
-		}
-		pd, ok := verdict.(*liveness.PeerDeadError)
-		if !ok {
-			return // non-liveness failure: surfaced after Run
 		}
 		// Recovery: disarm this node's remaining seeded kills, then the
 		// world-level shrink + election, then the verified re-run.
@@ -164,14 +135,15 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 		id := shr.NewWorld[w]
 		if id == 0 {
 			sh = shr
+			t.shrunk(shr.NewSize, shr.NewRoot, "rerun/"+intraSpec,
+				func(id int) *kernel.Process { return cl.WorldRank(shr.OldWorld[id]).OS })
 		}
-		s2, r2, pat := seedBuffers(nr.OS, kind, shr.NewSize, id, count, cl.CopyData)
-		recv2[id], sends2[id] = r2, pat
+		t.seed(&t.again, id, nr.OS, shr.NewSize)
 		nr.WorldBarrier(shr.NewSize)
-		rerunStarts[w] = float64(r.SP.Now())
-		cluster.Rerun(nr, shr, kind, intraSpec, cluster.Args{Send: s2, Recv: r2, Count: count, Root: shr.NewRoot})
+		t.rerunStarts[w] = r.SP.Now()
+		cluster.Rerun(nr, shr, kind, intraSpec, cluster.Args{Send: t.again.Send[id], Recv: t.again.Recv[id], Count: count, Root: shr.NewRoot})
 		nr.WorldBarrier(shr.NewSize)
-		rerunEnds[w] = float64(r.SP.Now())
+		t.rerunEnds[w] = r.SP.Now()
 	})
 
 	res := ClusterRecoveryResult{
@@ -188,54 +160,16 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 		return res, runErr
 	}
 	res.Events = cl.Sim.EventsProcessed()
-
-	verdict, err := agreedVerdict(agreedErr, survived)
-	if err != nil {
-		return res, err
-	}
-	res.FirstLatency = maxWhere(attemptEnds, survived) - maxWhere(starts, survived)
-	res.Err = verdict
-
-	if verdict == nil {
-		if !cl.CopyData {
-			cluster.Release(cl)
-			return res, nil
-		}
-		verr := verifyRecv(kind, opts.Root, count, sends, func(w int) *kernel.Process { return cl.WorldRank(w).OS }, recv)
-		if verr == nil {
-			cluster.Release(cl)
-		}
-		return res, verr
-	}
-	pd, ok := verdict.(*liveness.PeerDeadError)
-	if !ok {
-		return res, verdict
-	}
-	res.Failed = pd.Ranks
-	if sh == nil {
-		return res, fmt.Errorf("measure: agreed on %v but no survivor shrank", pd.Ranks)
-	}
-	res.Survivors = sh.NewSize
-	res.Algorithm = "rerun/" + intraSpec
-	res.OldWorld = sh.OldWorld
-	res.NewRoot = sh.NewRoot
-
 	wl := cl.Live
-	deathAt, anyDead := wl.FirstDeathAt()
-	if !anyDead {
-		return res, fmt.Errorf("measure: agreed on %v but no view records a death", pd.Ranks)
+	if sh != nil {
+		res.OldWorld, res.NewRoot = sh.OldWorld, sh.NewRoot
+		es, ee := wl.ElectWindow()
+		res.ElectLatency = ee - es
+		res.Residue = cl.Fabric.Residue()
 	}
-	agreedAt := wl.AgreedAt(0)
-	res.DetectLatency = float64(agreedAt - deathAt)
-	res.ShrinkLatency = float64(wl.ShrinkEnd() - agreedAt)
-	es, ee := wl.ElectWindow()
-	res.ElectLatency = float64(ee - es)
-	res.RerunLatency = maxWhere(rerunEnds, survived) - maxWhere(rerunStarts, survived)
-	res.Residue = cl.Fabric.Residue()
-
-	if !cl.CopyData {
-		return res, nil
+	err = t.settle(&res.RecoveryResult, wl, wl.ShrinkEnd())
+	if err == nil && res.Err == nil {
+		cluster.Release(cl)
 	}
-	proc := func(id int) *kernel.Process { return cl.WorldRank(sh.OldWorld[id]).OS }
-	return res, verifyRecv(kind, sh.NewRoot, count, sends2[:sh.NewSize], proc, recv2)
+	return res, err
 }

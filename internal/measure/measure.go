@@ -35,10 +35,11 @@ type Options struct {
 	// under multi-tenant interference (x13).
 	Ambient int
 
-	// SkewSeed, when non-zero, injects a deterministic random start
+	// MaxSkew, when positive, injects a deterministic random start
 	// delay of up to MaxSkew microseconds per rank before each timed
-	// invocation — the process skew the paper says turns contention-free
-	// schedules into contended ones.
+	// invocation, drawn from SkewSeed (0 is a seed like any other) —
+	// the process skew the paper says turns contention-free schedules
+	// into contended ones.
 	SkewSeed int64
 	MaxSkew  float64
 
@@ -158,11 +159,8 @@ func (o Options) checkLiveness() error {
 }
 
 // skew draws the entry skew of n rank-invocations (nil without
-// SkewSeed/MaxSkew).
+// MaxSkew).
 func (o Options) skew(n int) []float64 {
-	if o.SkewSeed == 0 || o.MaxSkew <= 0 {
-		return nil
-	}
 	return drawSkew(o.SkewSeed, o.MaxSkew, n)
 }
 

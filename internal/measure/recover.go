@@ -12,6 +12,7 @@ import (
 	"camc/internal/liveness"
 	"camc/internal/mpi"
 	"camc/internal/payload"
+	"camc/internal/sim"
 	"camc/internal/trace"
 )
 
@@ -93,32 +94,11 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 	c.AttachTrace(rec)
 	plan := c.FaultPlan()
 	board := c.Liveness() // pre-shrink board: holds death + agreement instants
-	send, recv, sends := seedComm(c, kind, count)
+	t := newTally(procs, kind, count, root, true, func(r int) *kernel.Process { return c.Rank(r).OS })
 	// The first attempt's entry skew, drawn as Collective draws it; the
 	// re-run starts unskewed.
 	skew := opts.skew(procs)
-
-	// Per-original-rank instants; killed ranks leave their slots at 0 and
-	// are excluded from the max/min reductions below.
-	starts := make([]float64, procs)
-	attemptEnds := make([]float64, procs)
 	shrinkEnds := make([]float64, procs)
-	rerunStarts := make([]float64, procs)
-	rerunEnds := make([]float64, procs)
-	agreedErr := make([]error, procs)
-	survived := make([]bool, procs)
-
-	// Survivor-communicator state, published by the rank processes (the
-	// simulator runs one at a time, so plain writes are safe). recv2 and
-	// sends2 are indexed by post-shrink rank ID; only the first
-	// Survivors entries are used.
-	recv2 := make([]kernel.Addr, procs)
-	sends2 := make([][]byte, procs)
-	var (
-		shrunk    *mpi.Comm
-		newRoot   int
-		rerunName string
-	)
 
 	c.Start(func(r *mpi.Rank) {
 		localErr := r.Protected(func() {
@@ -126,26 +106,20 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 			if skew != nil {
 				r.SP.Sleep(skew[r.ID])
 			}
-			starts[r.ID] = r.SP.Now()
+			t.starts[r.ID] = r.SP.Now()
 			if d := plan.StragglerDelay(r.ID, 0); d > 0 {
 				if rec != nil {
 					rec.Instant(r.Lane(), trace.CatFault, "straggle", trace.F("delay", d))
 				}
 				r.SP.Sleep(d)
 			}
-			algo.Run(r, core.Args{Send: send[r.ID], Recv: recv[r.ID], Count: count, Root: root})
+			algo.Run(r, core.Args{Send: t.first.Send[r.ID], Recv: t.first.Recv[r.ID], Count: count, Root: root})
 			r.Barrier()
 		})
-		attemptEnds[r.ID] = r.SP.Now()
-		verdict := r.Agree(localErr)
-		agreedErr[r.ID] = verdict
-		survived[r.ID] = true
-		if verdict == nil {
+		t.ends[r.ID] = r.SP.Now()
+		pd := t.agreed(r.ID, r.Agree(localErr))
+		if pd == nil {
 			return
-		}
-		pd, ok := verdict.(*liveness.PeerDeadError)
-		if !ok {
-			return // non-liveness failure: surfaced after Run
 		}
 		// Recovery: disarm further seeded kills, rebuild, re-plan, re-run.
 		plan.Revive()
@@ -161,52 +135,143 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 			nroot = 0 // the root died: re-root at the lowest survivor
 		}
 		if nr.ID == 0 {
-			shrunk, newRoot, rerunName = nc, nroot, nalgo.Name
+			t.shrunk(nc.Size(), nroot, nalgo.Name, func(id int) *kernel.Process { return nc.Rank(id).OS })
 		}
-		send2, r2, pat := seedBuffers(nr.OS, kind, nc.Size(), nr.ID, count, true)
-		recv2[nr.ID], sends2[nr.ID] = r2, pat
+		t.seed(&t.again, nr.ID, nr.OS, nc.Size())
 		nr.Barrier()
-		rerunStarts[r.ID] = r.SP.Now()
-		nalgo.Run(nr, core.Args{Send: send2, Recv: r2, Count: count, Root: nroot})
+		t.rerunStarts[r.ID] = r.SP.Now()
+		nalgo.Run(nr, core.Args{Send: t.again.Send[nr.ID], Recv: t.again.Recv[nr.ID], Count: count, Root: nroot})
 		nr.Barrier()
-		rerunEnds[r.ID] = r.SP.Now()
+		t.rerunEnds[r.ID] = r.SP.Now()
 	})
 	if err := c.Sim.Run(); err != nil {
 		return RecoveryResult{Stats: plan.Stats()}, err
 	}
-
 	res := RecoveryResult{Algorithm: algo.Name, Survivors: procs, Stats: plan.Stats()}
-	verdict, err := agreedVerdict(agreedErr, survived)
-	if err != nil {
-		return res, err
-	}
-	res.FirstLatency = maxWhere(attemptEnds, survived) - maxWhere(starts, survived)
-	res.Err = verdict
+	return res, t.settle(&res, board, maxWhere(shrinkEnds, t.survived))
+}
 
+// tally is one recovery run's record, shared by both harnesses. The
+// per-rank slices are indexed by original rank and written by the rank
+// bodies (the simulator runs one at a time, so plain writes are safe);
+// a killed rank leaves its slots zero and survived false, which keeps
+// it out of the reductions.
+type tally struct {
+	starts, ends           []float64 // the first attempt's window
+	rerunStarts, rerunEnds []float64
+	verdicts               []error
+	survived               []bool
+
+	kind  core.Kind
+	count int64
+	root  int
+	data  bool // false: a dataless run, whose payload is not checked
+	proc  func(rank int) *kernel.Process
+
+	// first is the first attempt's payload; again is the re-run's,
+	// indexed by survivor id.
+	first, again payload.Buffers
+
+	// The survivor world, published by its rank 0 after the shrink;
+	// newProc is nil until then.
+	size, newRoot int
+	algo          string
+	newProc       func(id int) *kernel.Process
+}
+
+// newTally returns the empty record of an n-rank run with the first
+// attempt's payload seeded, rank r's buffers in proc(r).
+func newTally(n int, kind core.Kind, count int64, root int, data bool, proc func(rank int) *kernel.Process) *tally {
+	t := &tally{
+		starts: make([]float64, n), ends: make([]float64, n),
+		rerunStarts: make([]float64, n), rerunEnds: make([]float64, n),
+		verdicts: make([]error, n), survived: make([]bool, n),
+		kind: kind, count: count, root: root, data: data, proc: proc,
+		first: payload.NewBuffers(n), again: payload.NewBuffers(n),
+	}
+	for r := 0; r < n; r++ {
+		t.seed(&t.first, r, proc(r), n)
+	}
+	return t
+}
+
+// seed seeds rank r of a p-rank world into b: payload.Pattern, or
+// allocations only on a dataless run.
+func (t *tally) seed(b *payload.Buffers, r int, os *kernel.Process, p int) {
+	var content []byte
+	if t.data {
+		content = payload.Pattern(t.kind, p, r, t.count)
+	}
+	b.Seed(r, os, t.kind, p, t.count, content)
+}
+
+// agreed records rank r's agreed verdict and returns the dead set when
+// the verdict calls for recovery (nil for a clean run or an error the
+// harness surfaces after the run).
+func (t *tally) agreed(r int, verdict error) *liveness.PeerDeadError {
+	t.verdicts[r], t.survived[r] = verdict, true
+	pd, _ := verdict.(*liveness.PeerDeadError)
+	return pd
+}
+
+// shrunk publishes the survivor world the re-run runs on.
+func (t *tally) shrunk(size, root int, algo string, proc func(id int) *kernel.Process) {
+	t.size, t.newRoot, t.algo, t.newProc = size, root, algo, proc
+}
+
+// deathBoard is the liveness record settle reads: a node's board or a
+// cluster's world view.
+type deathBoard interface {
+	FirstDeathAt() (sim.Time, bool)
+	AgreedAt(round int) sim.Time
+}
+
+// settle is the post-run step both recovery harnesses share. It
+// reduces the tally to the agreed verdict and the first attempt's
+// window. A clean run's first-attempt payload is then checked. After an
+// agreed death it fills the failed set, the survivor count and
+// algorithm, and the detect, shrink and re-run latencies (shrinkEnd is
+// the harness's own end of the shrink phase), and checks the re-run's
+// payload at the survivor count.
+func (t *tally) settle(res *RecoveryResult, board deathBoard, shrinkEnd float64) error {
+	verdict, err := agreedVerdict(t.verdicts, t.survived)
+	if err != nil {
+		return err
+	}
+	res.FirstLatency = maxWhere(t.ends, t.survived) - maxWhere(t.starts, t.survived)
+	res.Err = verdict
 	if verdict == nil {
-		// Clean run: ordinary payload verification, nothing shrank.
-		return res, verifyComm(c, kind, root, count, sends, recv)
+		return t.check(&t.first, len(t.survived), t.root, t.proc)
 	}
 	pd, ok := verdict.(*liveness.PeerDeadError)
 	if !ok {
-		return res, verdict // a non-liveness error is the caller's problem
+		return verdict // a non-liveness error is the caller's problem
 	}
 	res.Failed = pd.Ranks
-	if shrunk == nil {
-		return res, fmt.Errorf("measure: agreed on %v but no survivor shrank", pd.Ranks)
+	if t.newProc == nil {
+		return fmt.Errorf("measure: agreed on %v but no survivor shrank", pd.Ranks)
 	}
-	res.Survivors = shrunk.Size()
-	res.Algorithm = rerunName
+	res.Survivors, res.Algorithm = t.size, t.algo
 	deathAt, anyDead := board.FirstDeathAt()
 	if !anyDead {
-		return res, fmt.Errorf("measure: agreed on %v but board records no death", pd.Ranks)
+		return fmt.Errorf("measure: agreed on %v but no board records a death", pd.Ranks)
 	}
 	agreedAt := board.AgreedAt(0)
-	res.DetectLatency = float64(agreedAt - deathAt)
-	res.ShrinkLatency = maxWhere(shrinkEnds, survived) - float64(agreedAt)
-	res.RerunLatency = maxWhere(rerunEnds, survived) - maxWhere(rerunStarts, survived)
-	res.Stats = plan.Stats()
-	return res, verifyComm(shrunk, kind, newRoot, count, sends2[:shrunk.Size()], recv2)
+	res.DetectLatency = agreedAt - deathAt
+	res.ShrinkLatency = shrinkEnd - agreedAt
+	res.RerunLatency = maxWhere(t.rerunEnds, t.survived) - maxWhere(t.rerunStarts, t.survived)
+	return t.check(&t.again, t.size, t.newRoot, t.newProc)
+}
+
+// check verifies the first p ranks of b (nothing on a dataless run).
+func (t *tally) check(b *payload.Buffers, p, root int, proc func(rank int) *kernel.Process) error {
+	if !t.data {
+		return nil
+	}
+	if err := b.Check(t.kind, p, root, t.count, proc); err != nil {
+		return fmt.Errorf("measure: %s: %v", t.kind, err)
+	}
+	return nil
 }
 
 // agreedVerdict returns the verdict the survivors agreed on. Every
@@ -258,8 +323,12 @@ func maxWhere(v []float64, ok []bool) float64 {
 	return m
 }
 
-// drawSkew returns n seeded entry delays, uniform in [0, max) us.
+// drawSkew returns n seeded entry delays, uniform in [0, max) us, or
+// nil when max is not positive. Every seed, 0 included, draws.
 func drawSkew(seed int64, max float64, n int) []float64 {
+	if max <= 0 {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(seed))
 	skew := make([]float64, n)
 	for i := range skew {

@@ -6,8 +6,10 @@
 // tree, ring or degraded path the real algorithm took, its receive
 // buffers must match the reference's.
 //
-// The package imports only core, so both the measurement harnesses and
-// the differential checker can share it.
+// It also owns the one seeder and the one verifier both the
+// measurement harnesses and the differential checker run: Buffers.Seed
+// and Buffers.Check. The package imports only core and kernel (which
+// imports neither), so both layers can share it.
 package payload
 
 import (
@@ -15,7 +17,64 @@ import (
 	"strings"
 
 	"camc/internal/core"
+	"camc/internal/kernel"
 )
+
+// Buffers is one rank set's payload: every rank's send and receive
+// buffer bases and the content its send buffer was seeded with (Sends
+// stays nil on a dataless run).
+type Buffers struct {
+	Send, Recv []kernel.Addr
+	Sends      [][]byte
+}
+
+// NewBuffers returns the empty payload of n ranks.
+func NewBuffers(n int) Buffers {
+	return Buffers{Send: make([]kernel.Addr, n), Recv: make([]kernel.Addr, n)}
+}
+
+// Seed allocates rank r's send and receive buffers in os for a p-rank
+// collective of an already validated kind. A non-nil content, laid out
+// per BufSizes, is written into the send buffer and the receive buffer
+// is poisoned with 0xEE, both through the kernel's WriteAt/FillAt
+// payload layer — never a raw Bytes slice — so materialized and
+// digest-only processes fold identical content digests. A nil content
+// only allocates: a dataless run moves cost, not bytes.
+func (b *Buffers) Seed(r int, os *kernel.Process, kind core.Kind, p int, count int64, content []byte) {
+	sendLen, recvLen, _ := BufSizes(kind, p, count)
+	b.Send[r], b.Recv[r] = os.Alloc(sendLen), os.Alloc(recvLen)
+	if content == nil {
+		return
+	}
+	if b.Sends == nil {
+		b.Sends = make([][]byte, len(b.Send))
+	}
+	b.Sends[r] = content
+	os.WriteAt(b.Send[r], content)
+	os.FillAt(b.Recv[r], recvLen, 0xEE)
+}
+
+// Check verifies the first p ranks' payload, seeded with content, rank
+// r's buffers living in proc(r)'s memory: every receive buffer against
+// Verify over the seeded contents, then every send buffer against its
+// seed — a collective owns only Recv.
+func (b *Buffers) Check(kind core.Kind, p, root int, count int64, proc func(rank int) *kernel.Process) error {
+	sends := b.Sends[:p]
+	_, recvLen, _ := BufSizes(kind, p, count) // Verify reports a bad kind
+	err := Verify(kind, p, count, root, sends, func(r int) []byte { return proc(r).Bytes(b.Recv[r], recvLen) })
+	if err != nil {
+		return err
+	}
+	for r, want := range sends {
+		got := proc(r).Bytes(b.Send[r], int64(len(want)))
+		for i := range got {
+			if got[i] != want[i] {
+				return fmt.Errorf("rank %d send buffer mutated at offset %d", r, i)
+			}
+		}
+	}
+	return nil
+}
 
 // BufSizes returns the send/receive buffer lengths for one rank of a
 // p-rank communicator running kind with per-rank block size count.
