@@ -65,6 +65,41 @@ func BenchmarkDispatchSteps(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.EventsProcessed()), "ns/event")
 }
 
+// phaseStepper runs n sleeps of process p after its first: 1, 1.5 or
+// 2 µs by turns.
+type phaseStepper struct{ p, k, n int }
+
+func (st *phaseStepper) Step() Time {
+	if st.k++; st.k == st.n {
+		return StepDone
+	}
+	return 1 + float64((st.p+st.k)%3)/2
+}
+
+// BenchmarkDispatchDeep measures the dispatcher with a deep event heap:
+// 160 steppers (a power8 node's ranks) and 4096 (a wide cluster cell),
+// started at staggered phases, so every sleep misses the in-place fast
+// path behind an event of another process, and every dispatch sifts a
+// heap holding one event per process.
+func BenchmarkDispatchDeep(b *testing.B) {
+	for _, procs := range []int{160, 4096} {
+		b.Run(fmt.Sprint(procs), func(b *testing.B) {
+			b.ReportAllocs()
+			s := New()
+			for p := 0; p < procs; p++ {
+				st := &phaseStepper{p: p, n: b.N}
+				phase := float64(p) / float64(procs)
+				s.Spawn(fmt.Sprintf("p%d", p), func(sp *Proc) { sp.SleepSteps(phase, st) })
+			}
+			b.ResetTimer()
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.EventsProcessed()), "ns/event")
+		})
+	}
+}
+
 // BenchmarkDispatchSelfWake measures the dominant pattern of the kernel
 // hot path: one process advancing through a long run of sleeps with no
 // competing event, the case the optimised scheduler short-circuits.

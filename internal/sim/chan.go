@@ -280,8 +280,8 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
 // then return StepPark and, when p next steps, call Received to learn
 // whether a message came in time.
 func (c *Chan[T]) RecvTimeoutStep(p *Proc, v *T, d Time) bool {
-	if d < 0 {
-		panic("sim: negative recv timeout")
+	if !(d >= 0) {
+		panic("sim: negative or NaN recv timeout")
 	}
 	if c.take(v) {
 		return true
@@ -331,8 +331,8 @@ func (c *Chan[T]) SendTimeout(p *Proc, v T, d Time) bool {
 // now and reports false. The step must then return StepPark and, when p
 // next steps, call Sent to learn whether the value was taken in time.
 func (c *Chan[T]) SendTimeoutStep(p *Proc, v *T, d Time) bool {
-	if d < 0 {
-		panic("sim: negative send timeout")
+	if !(d >= 0) {
+		panic("sim: negative or NaN send timeout")
 	}
 	if c.deliver(v) {
 		return true

@@ -10,12 +10,15 @@
 // ordered event heap, so a simulation run is bit-for-bit reproducible.
 //
 // The dispatcher is built for throughput: the event heap is a concrete
-// typed heap (no interface boxing per event), a hand-off between
+// typed heap (no interface boxing per event) ordered by one branch-free
+// 128-bit compare of (time bits, sequence), a hand-off between
 // processes is a runtime coroutine switch rather than a channel send and
 // a goroutine park, coroutines come from a process-wide pool of idle
 // workers so a spawn starts no goroutine and regrows no stack in steady
-// state, and a sleep with no pending event before its own wake-up
-// advances the clock in place with no heap or coroutine traffic at all.
+// state, a sleep with no pending event before its own wake-up
+// advances the clock in place with no heap or coroutine traffic at all,
+// and a sleep that misses that fast path swaps its wake-up for the
+// heap's top in one sift instead of a push and a pop.
 // A run of sleeps and channel waits known as a state machine — the
 // kernel's CMA op, one lock+pin and one copy sleep per page chunk; a
 // shared-memory message operation, a copy sleep and a queue wait per
@@ -35,6 +38,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -169,14 +174,22 @@ func (s *Simulation) freeTimer(tm *timer) {
 // Hand-rolled rather than container/heap so that push and pop move event
 // values directly instead of boxing them through interface{} — the heap
 // is touched on every dispatch, and the boxing allocation dominated the
-// simulator's allocation profile.
+// simulator's allocation profile. The order is one 128-bit unsigned
+// compare (before) with no data-dependent branch, and the sifts move a
+// hole rather than swapping pairs, picking the smaller child without a
+// branch too. replaceTop fuses a push with the pop that follows it, the
+// slow path of every sleep, into one sift.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
+// before reports, as 1 or 0, whether a is dispatched before b. The pair
+// (math.Float64bits(t), seq) is compared as one 128-bit unsigned number:
+// a precedes b exactly when a − b borrows. Virtual times are never
+// negative, −0 or NaN (Sleep and the timed waits reject such
+// durations), and for such floats the bit order is the numeric order.
+func before(a, b *event) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(math.Float64bits(a.t), math.Float64bits(b.t), borrow)
+	return borrow
 }
 
 func (h *eventHeap) push(e event) {
@@ -185,53 +198,85 @@ func (h *eventHeap) push(e event) {
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if before(&e, &q[parent]) == 0 {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = e
+}
+
+// siftDown places e in the hole at the root of q, moving the hole down
+// past every child that comes before e.
+func (q eventHeap) siftDown(e event) {
+	n := len(q)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c+1 >= n {
+			if c < n && before(&q[c], &e) != 0 {
+				q[i] = q[c]
+				i = c
+			}
+			break
+		}
+		c += int(before(&q[c+1], &q[c]))
+		if before(&q[c], &e) == 0 {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = e
 }
 
 // minShrinkCap is the backing-array size below which pop never shrinks:
 // steady-state heaps (tens of events) keep one stable allocation.
 const minShrinkCap = 1024
 
+// shrink returns q in a backing array of half the capacity when
+// occupancy has fallen to an eighth of a once-large array, so a
+// transient burst (a wide barrier fan-in, a many-rank spawn wave)
+// doesn't pin its high-water memory for the rest of the process.
+// Halving the capacity keeps the shrink geometric — push doubles, pop
+// halves, so no push/pop sequence can oscillate across the boundary.
+func (q eventHeap) shrink() eventHeap {
+	if c := cap(q); c >= minShrinkCap && len(q) <= c/8 {
+		nq := make(eventHeap, len(q), c/2)
+		copy(nq, q)
+		return nq
+	}
+	return q
+}
+
 func (h *eventHeap) pop() event {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q[n] = event{} // drop the *Proc reference
-	q = q[:n]
-	// Shrink a once-large backing array when occupancy falls to an
-	// eighth of it, so a transient burst (a wide barrier fan-in, a
-	// many-rank spawn wave) doesn't pin its high-water memory for the
-	// rest of the process. Halving the capacity keeps the shrink
-	// geometric — push doubles, pop halves, so no push/pop sequence can
-	// oscillate across the boundary.
-	if c := cap(q); c >= minShrinkCap && n <= c/8 {
-		nq := make(eventHeap, n, c/2)
-		copy(nq, q)
-		q = nq
-	}
+	q = q[:n].shrink()
 	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		q[i], q[smallest] = q[smallest], q[i]
-		i = smallest
+	if n > 0 {
+		q.siftDown(last)
 	}
+	return top
+}
+
+// replaceTop pops the earliest event and pushes e in one sift. It is
+// push(e) followed by pop() — the same event returned, the same events
+// left and the same backing array — for an e that does not come before
+// the current top; a sleep whose wake misses the in-place fast path is
+// such an e.
+func (h *eventHeap) replaceTop(e event) event {
+	q := *h
+	if len(q) == cap(q) {
+		q = append(q, event{})[:len(q)] // the array push would have grown to
+	}
+	top := q[0]
+	q.siftDown(e)
+	*h = q.shrink()
 	return top
 }
 
@@ -242,8 +287,6 @@ func (s *Simulation) schedule(p *Proc, at Time) {
 		s.lin.scheduled(s, at)
 	}
 }
-
-func (s *Simulation) popEvent() event { return s.events.pop() }
 
 // dispatchNext pops the earliest event, advances the clock to it and
 // records its process in s.next for Run to resume; s.next stays nil when
@@ -265,35 +308,43 @@ func (s *Simulation) dispatchNext(self *Proc) (own bool) {
 		if len(s.events) == 0 {
 			return false
 		}
-		e := s.events.pop()
-		if e.tm != nil {
-			stopped := e.tm.stopped
-			// A timer's single heap event is now consumed either way, and
-			// no waiter dereferences its timer after this point, so the
-			// object goes straight back on the free list.
-			s.freeTimer(e.tm)
-			if stopped {
-				// Cancelled timer: discard without advancing the clock or
-				// counting a dispatch, so timed waits that complete in time
-				// leave no trace in either the timeline or the stats.
-				continue
-			}
+		if own, ok := s.dispatch(s.events.pop(), self); ok {
+			return own
 		}
-		if e.t < s.now {
-			panic(fmt.Sprintf("sim: time went backwards: %g < %g", e.t, s.now))
-		}
-		s.now = e.t
-		s.processed++
-		if s.lin.pending > 0 {
-			s.lin.ran(s, e.seq)
-		}
-		e.p.blockedOn = ""
-		if e.p == self {
-			return true
-		}
-		s.next = e.p
-		return false
 	}
+}
+
+// dispatch runs e, the event just popped, as dispatchNext's choice: it
+// advances the clock to e, counts the dispatch and either reports own
+// (e is self's wake-up) or records e's process in s.next. A cancelled
+// timer is discarded instead, reporting ok false, without advancing the
+// clock or counting a dispatch, so timed waits that complete in time
+// leave no trace in either the timeline or the stats.
+func (s *Simulation) dispatch(e event, self *Proc) (own, ok bool) {
+	if e.tm != nil {
+		stopped := e.tm.stopped
+		// A timer's single heap event is now consumed either way, and no
+		// waiter dereferences its timer after this point, so the object
+		// goes straight back on the free list.
+		s.freeTimer(e.tm)
+		if stopped {
+			return false, false
+		}
+	}
+	if e.t < s.now {
+		panic(fmt.Sprintf("sim: time went backwards: %g < %g", e.t, s.now))
+	}
+	s.now = e.t
+	s.processed++
+	if s.lin.pending > 0 {
+		s.lin.ran(s, e.seq)
+	}
+	e.p.blockedOn = ""
+	if e.p == self {
+		return true, true
+	}
+	s.next = e.p
+	return false, true
 }
 
 // yieldToken dispatches the next event and, unless it is the caller's
@@ -498,8 +549,8 @@ func (p *Proc) wake(at Time) { p.sim.schedule(p, at) }
 func (p *Proc) Park(why string) { p.block(why) }
 
 // Sleep advances the process's virtual time by d microseconds. d must be
-// non-negative; Sleep(0) yields to other processes scheduled at the same
-// instant.
+// non-negative and not NaN; Sleep(0) yields to other processes scheduled
+// at the same instant.
 func (p *Proc) Sleep(d Time) {
 	if !p.sleepFor(d) {
 		p.w.suspend()
@@ -510,8 +561,8 @@ func (p *Proc) Sleep(d Time) {
 // event. It reports true when that event is p's own, so p keeps
 // running; otherwise the event's process is in s.next and p must wait.
 func (p *Proc) sleepFor(d Time) (own bool) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative sleep %g", d))
+	if !(d >= 0) {
+		panic(fmt.Sprintf("sim: negative or NaN sleep %g", d))
 	}
 	s := p.sim
 	t := s.now + d
@@ -527,8 +578,19 @@ func (p *Proc) sleepFor(d Time) (own bool) {
 		s.processed++
 		return true
 	}
-	s.schedule(p, t)
 	p.blockedOn = blockedSleep
+	if s.lin.pending > 0 || len(s.lin.wakes) > 0 {
+		s.schedule(p, t)
+		return s.dispatchNext(p)
+	}
+	// With no virtual wake to order against, the wake-up missed the fast
+	// path only behind the heap's top: it comes after that event (a
+	// later sequence number breaks a tie), so the push and the pop that
+	// dispatches the top are one sift.
+	s.seq++
+	if own, ok := s.dispatch(s.events.replaceTop(event{t: t, seq: s.seq, p: p}), p); ok {
+		return own
+	}
 	return s.dispatchNext(p)
 }
 

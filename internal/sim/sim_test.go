@@ -3,7 +3,9 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -27,15 +29,52 @@ func TestSleepAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestNegativeSleepPanics: every duration a process waits for must be
+// non-negative and not NaN. A NaN once passed the d < 0 checks and left
+// the clock at NaN with Run returning nil.
 func TestNegativeSleepPanics(t *testing.T) {
-	s := New()
-	s.Spawn("a", func(p *Proc) { p.Sleep(-1) })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic from negative sleep")
-		}
-	}()
-	_ = s.Run()
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		body func(c *Chan[int], p *Proc)
+		want string
+	}{
+		{"sleep -1", func(_ *Chan[int], p *Proc) { p.Sleep(-1) }, "negative or NaN sleep -1"},
+		{"sleep NaN", func(_ *Chan[int], p *Proc) { p.Sleep(nan) }, "negative or NaN sleep NaN"},
+		{"step NaN", func(_ *Chan[int], p *Proc) { p.SleepSteps(1, &nanStepper{}) }, "negative or NaN sleep NaN"},
+		{"recv timeout -1", func(c *Chan[int], p *Proc) { c.RecvTimeout(p, -1) }, "negative or NaN recv timeout"},
+		{"recv timeout NaN", func(c *Chan[int], p *Proc) { c.RecvTimeout(p, nan) }, "negative or NaN recv timeout"},
+		{"send timeout -1", func(c *Chan[int], p *Proc) { c.SendTimeout(p, 1, -1) }, "negative or NaN send timeout"},
+		{"send timeout NaN", func(c *Chan[int], p *Proc) { c.SendTimeout(p, 1, nan) }, "negative or NaN send timeout"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			c := NewChan[int](s, 0)
+			s.Spawn("other", func(p *Proc) { p.Sleep(2) })
+			s.Spawn("a", func(p *Proc) { tc.body(c, p) })
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %v, want one saying %q (clock at %g)", r, tc.want, s.Now())
+				}
+			}()
+			err := s.Run()
+			t.Fatalf("Run returned %v at t=%g, want a panic", err, s.Now())
+		})
+	}
+}
+
+// nanStepper asks for a NaN sleep at its first step and is done at its
+// second.
+type nanStepper struct{ stepped bool }
+
+func (st *nanStepper) Step() Time {
+	if st.stepped {
+		return StepDone
+	}
+	st.stepped = true
+	return math.NaN()
 }
 
 func TestSpawnOrderBreaksTies(t *testing.T) {
