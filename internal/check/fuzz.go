@@ -14,23 +14,26 @@ type GenOptions struct {
 	Archs []string
 	// Kinds are the collective kinds to draw from (default all six).
 	Kinds []core.Kind
-	// MaxProcs caps the communicator size (default 12 — large enough
-	// for every tree/ring shape, small enough to keep a 200-spec corpus
-	// in seconds).
-	MaxProcs int
 	// Faults enables drawing fault-injection plans.
 	Faults bool
 	// Kills enables drawing kill plans (implies the recovery harness).
 	Kills bool
-	// Cluster makes every spec a multi-node one: 2..MaxNodes nodes with
+	// Cluster makes every spec a multi-node one: 2..genMaxNodes nodes with
 	// 2..5 ranks per node, a random topology and design, and a world
 	// root. Cluster specs draw skew, detector deadlines, kernel-level
 	// fault classes, and (with Kills) kill plans that route through the
 	// world-level recovery harness.
 	Cluster bool
-	// MaxNodes caps the node count in Cluster mode (default 6).
-	MaxNodes int
 }
+
+const (
+	// genMaxProcs caps the communicator size: large enough for every
+	// tree/ring shape, small enough to keep a 200-spec corpus in
+	// seconds.
+	genMaxProcs = 12
+	// genMaxNodes caps the node count in Cluster mode.
+	genMaxNodes = 6
+)
 
 func (o GenOptions) withDefaults() GenOptions {
 	if len(o.Archs) == 0 {
@@ -38,12 +41,6 @@ func (o GenOptions) withDefaults() GenOptions {
 	}
 	if len(o.Kinds) == 0 {
 		o.Kinds = core.SpecKinds()
-	}
-	if o.MaxProcs < 2 {
-		o.MaxProcs = 12
-	}
-	if o.MaxNodes < 2 {
-		o.MaxNodes = 6
 	}
 	return o
 }
@@ -69,13 +66,13 @@ func Gen(seed int64, i int, o GenOptions) Spec {
 		Arch:  o.Archs[rng.Intn(len(o.Archs))],
 		Kind:  o.Kinds[rng.Intn(len(o.Kinds))],
 		Count: genSizes[rng.Intn(len(genSizes))],
-		Procs: 2 + rng.Intn(o.MaxProcs-1),
+		Procs: 2 + rng.Intn(genMaxProcs-1),
 		Seed:  rng.Int63n(1 << 31),
 	}
 	sp.Root = rng.Intn(sp.Procs)
 	if o.Cluster {
 		sp.Count = genClusterSizes[rng.Intn(len(genClusterSizes))]
-		sp.Nodes = 2 + rng.Intn(o.MaxNodes-1)
+		sp.Nodes = 2 + rng.Intn(genMaxNodes-1)
 		sp.Procs = 2 + rng.Intn(4) // PPN 2..5
 		sp.Root = rng.Intn(sp.Nodes * sp.Procs)
 		names := cluster.TopoNames()

@@ -334,7 +334,7 @@ func checkNetSpanNesting(r *RunResult) []Violation {
 }
 
 // checkLinkAccounting: the fabric's per-link counters must conserve
-// flow, and because GammaNet(c) >= c a link's aggregate delivery can
+// flow, and because gammaNet(c) >= c a link's aggregate delivery can
 // never beat its line rate — delivered bytes times the per-byte time
 // must fit the link's activity window, with slack for the chunks in
 // flight at the window edges.
@@ -343,14 +343,13 @@ func checkLinkAccounting(r *RunResult) []Violation {
 		return nil
 	}
 	var out []Violation
-	chunkTime := float64(r.NetChunk) * r.NetBeta
 	for _, ls := range r.Links {
 		if ls.Injected != ls.Delivered {
 			out = append(out, Violation{"link-accounting",
 				fmt.Sprintf("link %s: injected %d bytes != delivered %d", ls.Name, ls.Injected, ls.Delivered)})
 		}
 		window := ls.Last - ls.First
-		if need := float64(ls.Delivered) * r.NetBeta; need > window+float64(ls.MaxActive)*chunkTime+1e-6 {
+		if need := ls.LineTime(); need > window+ls.EdgeSlack()+1e-6 {
 			out = append(out, Violation{"link-accounting",
 				fmt.Sprintf("link %s: %d bytes need %.2fus of line rate but the activity window is %.2fus (max %d flows)",
 					ls.Name, ls.Delivered, need, window, ls.MaxActive)})

@@ -39,12 +39,9 @@ type RunResult struct {
 	// happened inside the harness.
 	Recovery *measure.RecoveryResult
 
-	// Links, NetBeta and NetChunk are set on cluster runs (Spec.Nodes >
-	// 0): the fabric's per-link accounting plus the per-byte time and
-	// chunk size the link invariants need to bound utilization.
-	Links    []cluster.LinkStat
-	NetBeta  float64
-	NetChunk int64
+	// Links is set on cluster runs (Spec.Nodes > 0): the fabric's
+	// per-link accounting the link invariants check.
+	Links []cluster.LinkStat
 
 	// Residue is what a cluster kill run left in the fabric's flow
 	// queues after the survivors drained theirs; the shrink-residue
@@ -225,7 +222,7 @@ func build(sp Spec, prof *arch.Profile, materialize, track bool) (*world, error)
 		},
 		account: func(res *RunResult) {
 			res.Events = cl.Sim.EventsProcessed()
-			res.Links, res.NetBeta, res.NetChunk = cl.Fabric.LinkStats(), cl.Fabric.Beta, cl.Fabric.ChunkBytes
+			res.Links = cl.Fabric.LinkStats()
 			for _, comm := range cl.Nodes {
 				if plan := comm.FaultPlan(); plan != nil {
 					res.Stats.Add(plan.Stats())
@@ -263,8 +260,7 @@ func recovered(res *RunResult, prof *arch.Profile) error {
 		measure.ClusterOptions{Nodes: sp.Nodes, PPN: sp.Procs, Topo: sp.Topo, Root: sp.Root,
 			Fault: sp.faultConfig(), Liveness: &lcfg, SkewSeed: sp.Seed, MaxSkew: sp.Skew, CopyData: true})
 	res.Rec, res.Stats, res.Recovery, res.Events = rec, cres.Stats, &cres.RecoveryResult, cres.Events
-	res.Links, res.NetBeta, res.NetChunk = cres.Links, cres.NetBeta, cres.NetChunk
-	res.Residue, res.Elect = cres.Residue, cres.ElectLatency
+	res.Links, res.Residue, res.Elect = cres.Links, cres.Residue, cres.ElectLatency
 	if err != nil {
 		return fmt.Errorf("check: %s: cluster recovery harness: %v", sp, err)
 	}

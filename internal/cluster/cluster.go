@@ -6,7 +6,7 @@
 //
 // The fabric models what the old flat latency+bandwidth Network could
 // not: per-link α/β behind a pluggable topology (two-tier fat tree,
-// dragonfly-lite), and a switch-contention term GammaNet(c) — the
+// dragonfly-lite), and a switch-contention term gammaNet(c) — the
 // network analogue of the paper's mm-lock γ(c) — that inflates a flow's
 // per-byte cost with the number of flows concurrently crossing the same
 // link. The paper's point survives the richer model: fast
@@ -53,15 +53,10 @@ type Cluster struct {
 type Config struct {
 	Arch        *arch.Profile
 	NumNodes    int
-	PPN         int     // ranks per node; 0 = architecture default
-	Topo        string  // topology name (TopoNames); "" = fattree
-	SwitchRadix int     // nodes per leaf/group switch; 0 = 16
-	NetLatency  float64 // us one-way base latency; 0 = 1.5 (EDR/Omni-Path class)
-	NetBWBps    float64 // link bandwidth; 0 = 12.5 GB/s (100 Gbit)
-	NetPerMsg   float64 // us; 0 = 2·latency + 1 (rendezvous RTT + matching)
-	GNet        float64 // switch-contention coefficient; 0 = 0.05 (set < 0 for fair sharing γ=c)
-	ChunkBytes  int64   // per-chunk contention resample granularity; 0 = 256 KiB
-	CopyData    bool    // move real payload bytes (the check oracle needs this)
+	PPN         int    // ranks per node; 0 = architecture default
+	Topo        string // topology name (TopoNames); "" = fattree
+	SwitchRadix int    // nodes per leaf/group switch; 0 = 16
+	CopyData    bool   // move real payload bytes (the check oracle needs this)
 
 	// Fault injects probabilistic faults per node (each node draws from
 	// its own seed-salted stream). Kills arms explicit deaths. Either
@@ -88,23 +83,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.SwitchRadix == 0 {
 		cfg.SwitchRadix = 16
 	}
-	if cfg.NetLatency == 0 {
-		cfg.NetLatency = 1.5
-	}
-	if cfg.NetBWBps == 0 {
-		cfg.NetBWBps = 12.5e9
-	}
-	if cfg.NetPerMsg == 0 {
-		cfg.NetPerMsg = 2*cfg.NetLatency + 1
-	}
-	if cfg.GNet == 0 {
-		cfg.GNet = 0.05
-	} else if cfg.GNet < 0 {
-		cfg.GNet = 0
-	}
-	if cfg.ChunkBytes == 0 {
-		cfg.ChunkBytes = defaultChunkBytes
-	}
 	return cfg
 }
 
@@ -113,12 +91,7 @@ func (cfg Config) withDefaults() Config {
 // reuse queue storage instead of re-allocating it.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
-	key := fabKey{
-		topo: cfg.Topo, nodes: cfg.NumNodes, radix: cfg.SwitchRadix,
-		alpha: cfg.NetLatency / 2, beta: 1e6 / cfg.NetBWBps,
-		perMsg: cfg.NetPerMsg, gnet: cfg.GNet, chunk: cfg.ChunkBytes,
-		copyData: cfg.CopyData,
-	}
+	key := fabKey{topo: cfg.Topo, nodes: cfg.NumNodes, radix: cfg.SwitchRadix, copyData: cfg.CopyData}
 	var s *sim.Simulation
 	var fab *Fabric
 	if e, ok := fabricPoolGet(key); ok {
@@ -129,7 +102,7 @@ func New(cfg Config) *Cluster {
 		if err != nil {
 			panic(err)
 		}
-		fab = newFabric(s, topo, cfg.NumNodes, key.alpha, key.beta, key.perMsg, key.gnet, key.chunk, cfg.CopyData)
+		fab = newFabric(s, topo, cfg.NumNodes, cfg.CopyData)
 	}
 	cl := &Cluster{
 		Sim: s, Arch: cfg.Arch, Fabric: fab,

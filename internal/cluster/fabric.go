@@ -9,26 +9,30 @@ import (
 	"camc/internal/trace"
 )
 
+// The fabric calibration: an EDR/Omni-Path class network with 1.5 us
+// one-way base latency over 100 Gbit (12.5 GB/s) links.
+const (
+	netAlpha  = 1.5 / 2      // per-link propagation latency, us (half the one-way latency)
+	netBeta   = 1e6 / 12.5e9 // per-byte serialization time at full link rate, us
+	netPerMsg = 2*1.5 + 1    // receiver-side matching/completion cost per message, us (rendezvous RTT + matching)
+	// gNet is the contention coefficient: gammaNet(c) = c·(1 + gNet·(c−1)),
+	// the super-linear arbitration overhead switches exhibit under incast
+	// on top of fair bandwidth sharing (γ = c).
+	gNet       = 0.05
+	chunkBytes = 256 << 10 // per-chunk contention resample granularity
+)
+
 // Fabric is the simulated interconnect: a topology of directed links,
-// each with per-hop latency Alpha and per-byte time Beta, plus a
-// switch-contention factor GammaNet(c) that inflates a flow's per-byte
+// each with per-hop latency netAlpha and per-byte time netBeta, plus a
+// switch-contention factor gammaNet(c) that inflates a flow's per-byte
 // cost with the number of flows concurrently inside the same link —
 // the network analogue of the paper's mm-lock γ(c). The sender pushes a
-// message through its route link by link in ChunkBytes chunks,
+// message through its route link by link in chunkBytes chunks,
 // resampling the contention factor at every chunk boundary exactly like
 // the kernel's per-chunk γ sampling; the receiver pays the matching and
 // final-drain cost, serialized per node.
 type Fabric struct {
-	Topo   Topology
-	Alpha  float64 // per-link propagation latency, us
-	Beta   float64 // per-byte serialization time at full link rate, us
-	PerMsg float64 // receiver-side matching/completion cost per message, us
-	// GNet is the contention coefficient: GammaNet(c) = c·(1 + GNet·(c−1)).
-	// GNet = 0 models perfectly fair bandwidth sharing (γ = c); any
-	// positive value adds the super-linear arbitration overhead switches
-	// exhibit under incast.
-	GNet       float64
-	ChunkBytes int64
+	Topo Topology
 
 	sim      *sim.Simulation
 	copyData bool
@@ -92,12 +96,19 @@ type LinkStat struct {
 	Last      float64
 }
 
-const defaultChunkBytes = 256 << 10
+// LineTime is the time the link's delivered bytes need at full line
+// rate.
+func (ls LinkStat) LineTime() float64 { return float64(ls.Delivered) * netBeta }
 
-func newFabric(s *sim.Simulation, topo Topology, nodes int, alpha, beta, perMsg, gnet float64, chunk int64, copyData bool) *Fabric {
+// EdgeSlack is the line-rate time of the chunks that can be in flight
+// at the edges of the link's activity window: one per concurrent flow.
+func (ls LinkStat) EdgeSlack() float64 {
+	return float64(ls.MaxActive) * (float64(chunkBytes) * netBeta)
+}
+
+func newFabric(s *sim.Simulation, topo Topology, nodes int, copyData bool) *Fabric {
 	f := &Fabric{
-		Topo: topo, Alpha: alpha, Beta: beta, PerMsg: perMsg, GNet: gnet,
-		ChunkBytes: chunk, sim: s, copyData: copyData,
+		Topo: topo, sim: s, copyData: copyData,
 		queues: make(map[int64]*sim.Chan[netMsg]),
 		links:  make([]linkState, topo.NumLinks()),
 	}
@@ -108,15 +119,15 @@ func newFabric(s *sim.Simulation, topo Topology, nodes int, alpha, beta, perMsg,
 	return f
 }
 
-// GammaNet returns the contention factor for c concurrent flows through
+// gammaNet returns the contention factor for c concurrent flows through
 // one link. It is 1 at c = 1, strictly increasing, and always >= c, so
 // a link's aggregate delivery rate never exceeds its line rate — the
 // property the utilization invariant checks.
-func (f *Fabric) GammaNet(c int) float64 {
+func gammaNet(c int) float64 {
 	if c < 1 {
-		panic(fmt.Sprintf("cluster: GammaNet(%d)", c))
+		panic(fmt.Sprintf("cluster: gammaNet(%d)", c))
 	}
-	return float64(c) * (1 + f.GNet*float64(c-1))
+	return float64(c) * (1 + gNet*float64(c-1))
 }
 
 func (f *Fabric) queue(from, to int) *sim.Chan[netMsg] {
@@ -159,7 +170,7 @@ func (f *Fabric) reset() {
 // then the sender walks the route link by link (cut-through from the
 // sender's perspective), paying per-chunk contention-inflated
 // serialization on each. Concurrent flows into one node therefore
-// genuinely overlap on its down-link, where GammaNet turns incast into
+// genuinely overlap on its down-link, where gammaNet turns incast into
 // the super-linear slowdown the paper measures on the mm-lock. The
 // completed message lands in a buffered queue, so send never blocks on
 // the receiver.
@@ -171,8 +182,8 @@ func (f *Fabric) send(sp *sim.Proc, lane, fromW, toW, fromNode, toNode int, size
 	}
 	f.beat(fromW)
 	f.sendBusy[fromNode].Lock(sp)
-	f.lease(fromW, sp.Now()+float64(size)*f.Beta)
-	sp.Sleep(float64(size) * f.Beta)
+	f.lease(fromW, sp.Now()+float64(size)*netBeta)
+	sp.Sleep(float64(size) * netBeta)
 	f.sendBusy[fromNode].Unlock()
 	for _, l := range f.Topo.Route(fromNode, toNode, routeBuf[:0]) {
 		f.traverse(sp, lane, fromW, l, size)
@@ -203,8 +214,8 @@ func (f *Fabric) recv(sp *sim.Proc, lane, fromLane, fromW, toW, toNode int, size
 			trace.F("src", float64(fromW)), trace.F("bytes", float64(size)))
 	}
 	f.recvBusy[toNode].Lock(sp)
-	f.lease(toW, sp.Now()+f.PerMsg+float64(size)*f.Beta)
-	sp.Sleep(f.PerMsg + float64(size)*f.Beta)
+	f.lease(toW, sp.Now()+netPerMsg+float64(size)*netBeta)
+	sp.Sleep(netPerMsg + float64(size)*netBeta)
 	f.recvBusy[toNode].Unlock()
 	if f.rec.Enabled() {
 		f.rec.End(span)
@@ -237,12 +248,12 @@ func (f *Fabric) lease(w int, until sim.Time) {
 }
 
 // traverse moves size bytes across one link in chunks, resampling the
-// concurrent-flow count — and with it GammaNet — at every chunk
+// concurrent-flow count — and with it gammaNet — at every chunk
 // boundary, the same idiom the kernel uses for per-chunk mm-lock γ(c).
 // srcW is the sending world rank (for heartbeats; the trace lane alone
 // cannot identify it on untraced runs).
 func (f *Fabric) traverse(sp *sim.Proc, lane, srcW int, l LinkID, size int64) {
-	sp.Sleep(f.Alpha)
+	sp.Sleep(netAlpha)
 	ls := &f.links[l]
 	now := sp.Now()
 	if !ls.touched {
@@ -250,9 +261,9 @@ func (f *Fabric) traverse(sp *sim.Proc, lane, srcW int, l LinkID, size int64) {
 		ls.first = now
 	}
 	first := true
-	for off := int64(0); off < size; off += f.ChunkBytes {
+	for off := int64(0); off < size; off += chunkBytes {
 		f.beat(srcW)
-		n := f.ChunkBytes
+		n := int64(chunkBytes)
 		if size-off < n {
 			n = size - off
 		}
@@ -260,14 +271,14 @@ func (f *Fabric) traverse(sp *sim.Proc, lane, srcW int, l LinkID, size int64) {
 		if ls.active > ls.maxActive {
 			ls.maxActive = ls.active
 		}
-		g := f.GammaNet(ls.active)
+		g := gammaNet(ls.active)
 		if first && f.rec.Enabled() {
 			f.rec.Instant(lane, trace.CatNet, "net_link",
 				trace.F("link", float64(l)), trace.F("c", float64(ls.active)), trace.F("gamma", g))
 			first = false
 		}
 		ls.injected += n
-		t := float64(n) * f.Beta * g
+		t := float64(n) * netBeta * g
 		f.lease(srcW, sp.Now()+t)
 		sp.Sleep(t)
 		ls.active--
@@ -319,7 +330,7 @@ func (f *Fabric) drainTo(sp *sim.Proc, me int) int {
 			if _, ok := q.TryRecv(); !ok {
 				break
 			}
-			sp.Sleep(f.PerMsg)
+			sp.Sleep(netPerMsg)
 			drained++
 		}
 	}
@@ -369,9 +380,6 @@ func (f *Fabric) Residue() []Residue {
 type fabKey struct {
 	topo         string
 	nodes, radix int
-	alpha, beta  float64
-	perMsg, gnet float64
-	chunk        int64
 	copyData     bool
 }
 

@@ -9,36 +9,29 @@ import (
 )
 
 func TestGammaNetMonotone(t *testing.T) {
-	f := &Fabric{GNet: 0.05}
-	if g := f.GammaNet(1); g != 1 {
-		t.Fatalf("GammaNet(1) = %g, want 1", g)
+	if g := gammaNet(1); g != 1 {
+		t.Fatalf("gammaNet(1) = %g, want 1", g)
 	}
 	prev := 0.0
 	for c := 1; c <= 64; c++ {
-		g := f.GammaNet(c)
+		g := gammaNet(c)
 		if g <= prev {
-			t.Fatalf("GammaNet not strictly increasing at c=%d: %g <= %g", c, g, prev)
+			t.Fatalf("gammaNet not strictly increasing at c=%d: %g <= %g", c, g, prev)
 		}
 		if g < float64(c) {
-			t.Fatalf("GammaNet(%d) = %g < c: aggregate link rate would exceed line rate", c, g)
+			t.Fatalf("gammaNet(%d) = %g < c: aggregate link rate would exceed line rate", c, g)
 		}
 		prev = g
-	}
-	fair := &Fabric{GNet: 0}
-	for c := 1; c <= 8; c++ {
-		if g := fair.GammaNet(c); g != float64(c) {
-			t.Fatalf("fair-sharing GammaNet(%d) = %g, want %d", c, g, c)
-		}
 	}
 }
 
 func TestGammaNetPanicsBelowOne(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for GammaNet(0)")
+			t.Fatal("expected panic for gammaNet(0)")
 		}
 	}()
-	(&Fabric{}).GammaNet(0)
+	gammaNet(0)
 }
 
 // TestFlowConservation checks that every link delivers exactly the bytes
@@ -97,12 +90,11 @@ func TestLinkUtilization(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	beta := cl.Fabric.Beta
-	chunkTime := float64(cl.Fabric.ChunkBytes) * beta
+	chunkTime := float64(chunkBytes) * netBeta
 	for _, ls := range cl.Fabric.LinkStats() {
 		window := ls.Last - ls.First
 		limit := window + float64(ls.MaxActive)*chunkTime + 1e-6
-		if got := float64(ls.Delivered) * beta; got > limit {
+		if got := float64(ls.Delivered) * netBeta; got > limit {
 			t.Errorf("link %s: delivered %d bytes needs %.1fus of line rate but window is %.1fus (max %d flows)",
 				ls.Name, ls.Delivered, got, window, ls.MaxActive)
 		}
@@ -180,8 +172,8 @@ func TestTopoRoutes(t *testing.T) {
 // cluster's simulation and fabric are reused by the next same-shape New,
 // and the rerun creates no new queue channels.
 func TestFabricPoolReuse(t *testing.T) {
-	// A distinctive GNet keys a private pool slot for this test.
-	cfg := Config{Arch: arch.KNL(), NumNodes: 4, PPN: 2, GNet: 0.0503}
+	// A switch radix no other test uses keys a private pool slot.
+	cfg := Config{Arch: arch.KNL(), NumNodes: 4, PPN: 2, SwitchRadix: 13}
 	run := func(cl *Cluster) {
 		coll, err := Lookup(cl, core.KindGather, DesignLeader, "")
 		if err != nil {
@@ -218,7 +210,8 @@ func TestFabricPoolReuse(t *testing.T) {
 // TestReleaseDetectsLeakedMessage: releasing a cluster whose run left a
 // message undrained must panic loudly rather than recycle a dirty queue.
 func TestReleaseDetectsLeakedMessage(t *testing.T) {
-	cfg := Config{Arch: arch.KNL(), NumNodes: 2, PPN: 1, GNet: 0.0507}
+	// A switch radix no other test uses keys a private pool slot.
+	cfg := Config{Arch: arch.KNL(), NumNodes: 2, PPN: 1, SwitchRadix: 11}
 	cl := New(cfg)
 	if _, err := cl.Run(func(r *Rank) {
 		if r.World == 0 {

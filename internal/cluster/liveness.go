@@ -41,7 +41,7 @@ type WorldLiveness struct {
 	// modelled as residing on node 0 — remote ranks pay a gossip RTT to
 	// post into it and to read the published verdict back.
 	roundOf []int
-	rounds  []*worldRound
+	rounds  liveness.Rounds
 
 	// barCount/barGen implement the survivor barrier used between
 	// recovery phases (central counter, Poll-quantum polling).
@@ -66,16 +66,6 @@ type WorldLiveness struct {
 	deathSeen            bool
 }
 
-// worldRound is one world-level agreement epoch (the cluster analogue
-// of liveness.roundState).
-type worldRound struct {
-	posted    []bool
-	suspects  [][]int
-	agreed    []int
-	published bool
-	agreedAt  sim.Time
-}
-
 // newWorldLiveness builds the per-node world views, installs them as
 // the nodes' liveness boards (with world-rank board IDs on every node
 // communicator), and arms the fabric's guarded receive path.
@@ -86,6 +76,7 @@ func newWorldLiveness(cl *Cluster, cfg liveness.Config) *WorldLiveness {
 		world:     world,
 		views:     make([]*liveness.Board, cl.NumNodes),
 		roundOf:   make([]int, world),
+		rounds:    liveness.NewRounds(world),
 		refreshed: make([]bool, cl.NumNodes),
 	}
 	for n := 0; n < cl.NumNodes; n++ {
@@ -136,7 +127,7 @@ func (wl *WorldLiveness) noteDeaths(v *liveness.Board) {
 }
 
 // AgreedAt returns the publish instant of world agreement round i.
-func (wl *WorldLiveness) AgreedAt(i int) sim.Time { return wl.round(i).agreedAt }
+func (wl *WorldLiveness) AgreedAt(i int) sim.Time { return wl.rounds.At(i).AgreedAt() }
 
 // ShrinkEnd returns the instant the last survivor held a rebuilt
 // node communicator (end of the world shrink window).
@@ -146,16 +137,6 @@ func (wl *WorldLiveness) ShrinkEnd() sim.Time { return wl.shrinkEnd }
 // the election to last survivor leaving it.
 func (wl *WorldLiveness) ElectWindow() (start, end sim.Time) {
 	return wl.electStart, wl.electEnd
-}
-
-func (wl *WorldLiveness) round(i int) *worldRound {
-	for len(wl.rounds) <= i {
-		wl.rounds = append(wl.rounds, &worldRound{
-			posted:   make([]bool, wl.world),
-			suspects: make([][]int, wl.world),
-		})
-	}
-	return wl.rounds[i]
 }
 
 // probe gossips with another node: one probe message each way over the
@@ -177,11 +158,11 @@ func (wl *WorldLiveness) probe(sp *sim.Proc, lane, proberW, targetNode int) {
 	for _, l := range f.Topo.Route(myNode, targetNode, buf[:0]) {
 		f.traverse(sp, lane, proberW, l, probeBytes)
 	}
-	sp.Sleep(f.PerMsg)
+	sp.Sleep(netPerMsg)
 	for _, l := range f.Topo.Route(targetNode, myNode, buf[:0]) {
 		f.traverse(sp, lane, proberW, l, probeBytes)
 	}
-	sp.Sleep(f.PerMsg)
+	sp.Sleep(netPerMsg)
 	wl.views[targetNode].Merge(wl.views[myNode])
 	wl.views[myNode].Merge(wl.views[targetNode])
 }
@@ -252,7 +233,7 @@ func (wl *WorldLiveness) Agree(r *Rank, localErr error) error {
 	}
 	roundNo := wl.roundOf[r.World]
 	wl.roundOf[r.World]++
-	rd := wl.round(roundNo)
+	rd := wl.rounds.At(roundNo)
 	view := wl.views[r.Node]
 	sp := r.SP
 	lane := r.Lane()
@@ -265,27 +246,20 @@ func (wl *WorldLiveness) Agree(r *Rank, localErr error) error {
 	if r.Node != 0 {
 		wl.probe(sp, lane, r.World, 0) // carry the post to the coordinator node
 	}
-	rd.posted[r.World] = true
-	rd.suspects[r.World] = append([]int(nil), local...)
+	rd.Post(r.World, local)
 	start := sp.Now()
 	for {
 		view.Beat(r.World)
-		if rd.published {
-			break
-		}
-		if wl.allPostedOrDead(rd, view) {
-			rd.agreed = wl.union(rd, view)
-			rd.published = true
-			rd.agreedAt = sp.Now()
+		if rd.Decide(view) {
 			break
 		}
 		if sp.Now()-start >= wl.cfg.Deadline {
 			for w := 0; w < wl.world; w++ {
-				if rd.posted[w] || view.Dead(w) {
+				if rd.Posted(w) || view.Dead(w) {
 					continue
 				}
 				wl.probe(sp, lane, r.World, w/wl.cl.PPN)
-				if !rd.posted[w] && !view.Dead(w) && view.Stale(w, wl.cfg.Deadline) {
+				if !rd.Posted(w) && !view.Dead(w) && view.Stale(w, wl.cfg.Deadline) {
 					view.MarkDead(w)
 				}
 			}
@@ -297,7 +271,7 @@ func (wl *WorldLiveness) Agree(r *Rank, localErr error) error {
 	if r.Node != 0 {
 		wl.probe(sp, lane, r.World, 0) // read the published verdict back
 	}
-	set := append([]int(nil), rd.agreed...)
+	set := rd.Agreed()
 	if rec != nil {
 		rec.End(span, trace.F("failed", float64(len(set))))
 	}
@@ -305,36 +279,6 @@ func (wl *WorldLiveness) Agree(r *Rank, localErr error) error {
 		return nil
 	}
 	return liveness.NewPeerDeadError(set)
-}
-
-func (wl *WorldLiveness) allPostedOrDead(rd *worldRound, view *liveness.Board) bool {
-	for w := 0; w < wl.world; w++ {
-		if !rd.posted[w] && !view.Dead(w) {
-			return false
-		}
-	}
-	return true
-}
-
-// union folds every posted suspect set and the publisher view's deaths
-// into one sorted failed-rank set (world numbering).
-func (wl *WorldLiveness) union(rd *worldRound, view *liveness.Board) []int {
-	in := make([]bool, wl.world)
-	for _, w := range view.DeadSet() {
-		in[w] = true
-	}
-	for w := 0; w < wl.world; w++ {
-		for _, s := range rd.suspects[w] {
-			in[s] = true
-		}
-	}
-	set := []int{}
-	for w, d := range in {
-		if d {
-			set = append(set, w)
-		}
-	}
-	return set
 }
 
 // svBarrier is the survivor barrier between recovery phases: a central

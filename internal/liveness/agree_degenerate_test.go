@@ -134,12 +134,9 @@ func TestAgreePostThenDie(t *testing.T) {
 	b := NewBoard(s, n, Config{Deadline: 1000, Poll: 5})
 	results := make([][]int, n)
 	s.Spawn("r2", func(p *sim.Proc) {
-		// Post by running one Agree step's worth: mark the post directly
-		// through the public API — the rank enters the round, then dies
-		// before it can see the published set.
-		r := b.round(0)
-		r.posted[2] = true
-		r.suspects[2] = []int{1}
+		// Post by running one Agree step's worth: the rank enters the
+		// round, then dies before it can see the published set.
+		b.rounds.At(0).Post(2, []int{1})
 		p.Sleep(3)
 		b.MarkDead(2)
 	})

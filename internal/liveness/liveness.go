@@ -130,16 +130,91 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// roundState is one agreement epoch. Rounds stay in lockstep across
-// ranks because every survivor executes the same sequence of protected
-// collectives, each ending in exactly one Agree call.
-type roundState struct {
+// Round is one agreement epoch over n ranks: every rank posts its
+// locally observed suspect set, and once every rank has posted or is
+// dead on a deciding board, the union of all posted suspects and that
+// board's deaths is published. Rounds stay in lockstep across ranks
+// because every survivor executes the same sequence of protected
+// collectives, each ending in exactly one agreement. Board.Agree
+// decides against the communicator's own board; a cluster's world
+// agreement decides against the deciding rank's node view.
+type Round struct {
 	posted    []bool  // rank has contributed its local suspect set
 	suspects  [][]int // per-rank local suspect sets
 	agreed    []int   // published union (empty = clean round)
 	published bool
 	agreedAt  sim.Time
 }
+
+// Rounds is a lockstep sequence of agreement rounds over n ranks.
+type Rounds struct {
+	n    int
+	list []*Round
+}
+
+// NewRounds returns an empty round sequence over n ranks.
+func NewRounds(n int) Rounds { return Rounds{n: n} }
+
+// At returns round i, creating it (and any earlier round) on first use.
+func (rs *Rounds) At(i int) *Round {
+	for len(rs.list) <= i {
+		rs.list = append(rs.list, &Round{
+			posted:   make([]bool, rs.n),
+			suspects: make([][]int, rs.n),
+		})
+	}
+	return rs.list[i]
+}
+
+// Post contributes rank's local suspect set; a rank's first post wins.
+func (r *Round) Post(rank int, local []int) {
+	if !r.posted[rank] {
+		r.posted[rank] = true
+		r.suspects[rank] = append([]int(nil), local...)
+	}
+}
+
+// Posted reports whether rank has posted.
+func (r *Round) Posted(rank int) bool { return r.posted[rank] }
+
+// Decide reports whether the round is published, publishing it first
+// if every rank has posted or is dead on b: the agreed set is the
+// union of every posted suspect set and b's deaths, stamped with the
+// current instant.
+func (r *Round) Decide(b *Board) bool {
+	if r.published {
+		return true
+	}
+	for rank := range r.posted {
+		if !r.posted[rank] && !b.dead[rank] {
+			return false
+		}
+	}
+	in := make([]bool, len(r.posted))
+	for rank := range in {
+		if b.dead[rank] {
+			in[rank] = true
+		}
+		for _, s := range r.suspects[rank] {
+			in[s] = true
+		}
+	}
+	r.agreed = []int{}
+	for rank, d := range in {
+		if d {
+			r.agreed = append(r.agreed, rank)
+		}
+	}
+	r.published = true
+	r.agreedAt = b.sim.Now()
+	return true
+}
+
+// Agreed returns a copy of the published failed-rank set, sorted.
+func (r *Round) Agreed() []int { return append([]int(nil), r.agreed...) }
+
+// AgreedAt returns the round's publish instant.
+func (r *Round) AgreedAt() sim.Time { return r.agreedAt }
 
 // Board is the shared liveness state of one communicator: heartbeats,
 // death flags, and agreement slots, modelled as residing in the shm
@@ -158,7 +233,7 @@ type Board struct {
 	nDead   int
 	firstAt sim.Time // earliest death instant, for detection latency
 
-	rounds []*roundState
+	rounds Rounds
 }
 
 // NewBoard creates the liveness board for an n-rank communicator.
@@ -170,6 +245,7 @@ func NewBoard(s *sim.Simulation, n int, cfg Config) *Board {
 		beats:  make([]sim.Time, n),
 		dead:   make([]bool, n),
 		deadAt: make([]sim.Time, n),
+		rounds: NewRounds(n),
 	}
 }
 
@@ -273,19 +349,9 @@ func (b *Board) Merge(o *Board) {
 	}
 }
 
-func (b *Board) round(i int) *roundState {
-	for len(b.rounds) <= i {
-		b.rounds = append(b.rounds, &roundState{
-			posted:   make([]bool, b.n),
-			suspects: make([][]int, b.n),
-		})
-	}
-	return b.rounds[i]
-}
-
 // AgreedAt returns the publish instant of agreement round i. It is only
 // meaningful after Agree has returned for that round.
-func (b *Board) AgreedAt(i int) sim.Time { return b.round(i).agreedAt }
+func (b *Board) AgreedAt(i int) sim.Time { return b.rounds.At(i).AgreedAt() }
 
 // Agree runs one coherent-error agreement round: the calling rank posts
 // its locally observed suspect set, then waits until every rank has
@@ -299,22 +365,13 @@ func (b *Board) AgreedAt(i int) sim.Time { return b.round(i).agreedAt }
 // any other wait: after Deadline with no progress, survivors mark the
 // silent ranks dead, which re-satisfies the posted-or-dead condition.
 func (b *Board) Agree(p *sim.Proc, self, round int, local []int) []int {
-	r := b.round(round)
-	if !r.posted[self] {
-		r.posted[self] = true
-		r.suspects[self] = append([]int(nil), local...)
-	}
+	r := b.rounds.At(round)
+	r.Post(self, local)
 	start := b.sim.Now()
 	for {
 		b.Beat(self)
-		if r.published {
-			return append([]int(nil), r.agreed...)
-		}
-		if b.allPostedOrDead(r) {
-			r.agreed = b.union(r)
-			r.published = true
-			r.agreedAt = b.sim.Now()
-			return append([]int(nil), r.agreed...)
+		if r.Decide(b) {
+			return r.Agreed()
 		}
 		if b.sim.Now()-start >= b.cfg.Deadline {
 			// Ranks whose heartbeat has also been silent for a full
@@ -322,44 +379,14 @@ func (b *Board) Agree(p *sim.Proc, self, round int, local []int) []int {
 			// collective and the agreement). Fresh-but-unposted ranks are
 			// alive and still on their way here — keep polling for them.
 			for rank := 0; rank < b.n; rank++ {
-				if !r.posted[rank] && !b.dead[rank] && b.Stale(rank, b.cfg.Deadline) {
+				if !r.Posted(rank) && !b.dead[rank] && b.Stale(rank, b.cfg.Deadline) {
 					b.MarkDead(rank)
 				}
 			}
-			if b.allPostedOrDead(r) {
-				continue
+			if r.Decide(b) {
+				return r.Agreed()
 			}
 		}
 		p.Sleep(b.cfg.Poll)
 	}
-}
-
-func (b *Board) allPostedOrDead(r *roundState) bool {
-	for rank := 0; rank < b.n; rank++ {
-		if !r.posted[rank] && !b.dead[rank] {
-			return false
-		}
-	}
-	return true
-}
-
-// union folds every posted suspect set and every board death into one
-// sorted failed-rank set.
-func (b *Board) union(r *roundState) []int {
-	in := make([]bool, b.n)
-	for rank := 0; rank < b.n; rank++ {
-		if b.dead[rank] {
-			in[rank] = true
-		}
-		for _, s := range r.suspects[rank] {
-			in[s] = true
-		}
-	}
-	set := []int{}
-	for rank, d := range in {
-		if d {
-			set = append(set, rank)
-		}
-	}
-	return set
 }

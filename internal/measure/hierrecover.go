@@ -62,10 +62,8 @@ type ClusterRecoveryResult struct {
 	Residue []cluster.Residue
 
 	// Fabric accounting for the link invariants.
-	Links    []cluster.LinkStat
-	NetBeta  float64
-	NetChunk int64
-	Events   uint64
+	Links  []cluster.LinkStat
+	Events uint64
 }
 
 // ClusterRecovered runs one hierarchical collective on a simulated
@@ -146,9 +144,7 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 		t.rerunEnds[w] = r.SP.Now()
 	})
 
-	res := ClusterRecoveryResult{
-		Links: cl.Fabric.LinkStats(), NetBeta: cl.Fabric.Beta, NetChunk: cl.Fabric.ChunkBytes,
-	}
+	res := ClusterRecoveryResult{Links: cl.Fabric.LinkStats()}
 	res.Algorithm = coll.Name
 	res.Survivors = world
 	for _, comm := range cl.Nodes {

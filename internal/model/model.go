@@ -218,7 +218,7 @@ func (p *Params) FitGamma(samples []GammaSample) (float64, error) {
 		f = func(par []float64, c float64) float64 { return par[0] + par[1]*c + par[2]*c*c }
 		p0 = p0[:3]
 	}
-	fit, ssr, err := stats.LevenbergMarquardt(f, x, y, p0, stats.LMOptions{})
+	fit, ssr, err := stats.LevenbergMarquardt(f, x, y, p0)
 	if err != nil {
 		return 0, err
 	}

@@ -23,9 +23,9 @@ import (
 	"camc/internal/trace"
 )
 
-// DefaultRendezvousThreshold is the eager/rendezvous switch point in
-// bytes: the paper places the kernel-assisted advantage at >= 16 KiB.
-const DefaultRendezvousThreshold = 16 << 10
+// rendezvousThreshold is the eager/rendezvous switch point in bytes:
+// the paper places the kernel-assisted advantage at >= 16 KiB.
+const rendezvousThreshold = 16 << 10
 
 // Config describes one intra-node MPI job.
 type Config struct {
@@ -53,12 +53,6 @@ type Config struct {
 	// MemPerProc is each rank's simulated address-space size in bytes.
 	// Defaults to 1 GiB (dataless) — set small when CopyData is on.
 	MemPerProc int64
-
-	// RendezvousThreshold overrides the eager/rendezvous switch point.
-	RendezvousThreshold int64
-
-	// ChunkPages overrides the kernel contention-sampling granularity.
-	ChunkPages int
 
 	// Mechanism selects the kernel-assist facility (CMA by default; see
 	// kernel.Mechanism for KNEM/LiMIC/XPMEM).
@@ -94,9 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.MemPerProc == 0 {
 		c.MemPerProc = 1 << 30
 	}
-	if c.RendezvousThreshold == 0 {
-		c.RendezvousThreshold = DefaultRendezvousThreshold
-	}
 	return c
 }
 
@@ -105,7 +96,6 @@ type Comm struct {
 	Node  *kernel.Node
 	Shm   *shm.Transport
 	Sim   *sim.Simulation
-	cfg   Config
 	ranks []*Rank
 
 	// parentIDs maps this communicator's rank IDs to the pre-shrink
@@ -286,41 +276,26 @@ func New(cfg Config) *Comm {
 	node.DigestPayload = cfg.Sparse
 	node.SetMechanism(cfg.Mechanism)
 	node.SetAmbient(cfg.Ambient)
-	if cfg.ChunkPages != 0 {
-		node.ChunkPages = cfg.ChunkPages
-	}
 	if cfg.Fault != nil && cfg.Fault.Active() {
 		node.SetFaultPlan(fault.New(*cfg.Fault))
 	}
 	if cfg.Liveness != nil {
 		node.SetLiveness(liveness.NewBoard(s, cfg.Procs, *cfg.Liveness))
 	}
-	c := &Comm{Node: node, Sim: s, cfg: cfg}
-	c.Shm = shm.New(node, cfg.Procs)
-	for i := 0; i < cfg.Procs; i++ {
-		os := node.NewProcess(cfg.MemPerProc)
-		os.SetSocket(cfg.Arch.RankSocket(i, cfg.Procs))
-		c.ranks = append(c.ranks, &Rank{Comm: c, ID: i, OS: os})
-	}
-	return c
+	return NewOnNode(node, cfg.Procs, cfg.MemPerProc)
 }
 
-// NewOnNode builds a communicator over an existing simulated node (the
-// multi-node cluster creates several nodes on one shared simulation and
-// needs a communicator per node). Runs inherit the node's CopyData
-// setting; MemPerProc applies to the ranks' address spaces.
+// NewOnNode builds a communicator of procs ranks over an existing
+// simulated node (the multi-node cluster creates several nodes on one
+// shared simulation and needs a communicator per node), each rank with
+// a memPerProc-byte address space. Runs inherit the node's CopyData
+// setting.
 func NewOnNode(node *kernel.Node, procs int, memPerProc int64) *Comm {
-	cfg := Config{
-		Arch:       node.Arch,
-		Procs:      procs,
-		CopyData:   node.CopyData,
-		MemPerProc: memPerProc,
-	}.withDefaults()
-	c := &Comm{Node: node, Sim: node.Sim, cfg: cfg}
-	c.Shm = shm.New(node, cfg.Procs)
-	for i := 0; i < cfg.Procs; i++ {
-		os := node.NewProcess(cfg.MemPerProc)
-		os.SetSocket(cfg.Arch.RankSocket(i, cfg.Procs))
+	c := &Comm{Node: node, Sim: node.Sim}
+	c.Shm = shm.New(node, procs)
+	for i := 0; i < procs; i++ {
+		os := node.NewProcess(memPerProc)
+		os.SetSocket(node.Arch.RankSocket(i, procs))
 		c.ranks = append(c.ranks, &Rank{Comm: c, ID: i, OS: os})
 	}
 	return c
@@ -534,8 +509,7 @@ func (c *Comm) buildShrunk(failed []int) {
 	if len(alive) == 0 {
 		panic("mpi: Shrink with no survivors")
 	}
-	nc := &Comm{Node: c.Node, Sim: c.Sim, cfg: c.cfg}
-	nc.cfg.Procs = len(alive)
+	nc := &Comm{Node: c.Node, Sim: c.Sim}
 	nc.Shm = shm.New(c.Node, len(alive))
 	if rec := c.Tracer(); rec != nil {
 		// The new transport numbers ranks from 0, but each survivor keeps
@@ -621,7 +595,7 @@ func (r *Rank) Send(dst int, addr kernel.Addr, size int64) {
 	c := r.Comm
 	span := trace.NoSpan
 	rec := r.Tracer()
-	rndv := size >= c.cfg.RendezvousThreshold
+	rndv := size >= rendezvousThreshold
 	if rec != nil {
 		name := "send_eager"
 		if rndv {
@@ -648,7 +622,7 @@ func (r *Rank) Recv(src int, addr kernel.Addr, size int64) {
 	c := r.Comm
 	span := trace.NoSpan
 	rec := r.Tracer()
-	rndv := size >= c.cfg.RendezvousThreshold
+	rndv := size >= rendezvousThreshold
 	if rec != nil {
 		name := "recv_eager"
 		if rndv {
@@ -681,7 +655,7 @@ func (r *Rank) Sendrecv(dst int, sAddr kernel.Addr, sSize int64, src int, rAddr 
 	r.killCheck()
 	c := r.Comm
 	r.SP.Sleep(matchCost) // send-side envelope; Recv below charges its own
-	sRndv := sSize >= c.cfg.RendezvousThreshold
+	sRndv := sSize >= rendezvousThreshold
 	if sRndv {
 		c.Shm.SendCtl(r.SP, r.ID, dst, tagRTS, int64(sAddr))
 	} else {

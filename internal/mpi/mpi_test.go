@@ -77,9 +77,9 @@ func transferTest(t *testing.T, size int64) {
 func TestEagerTransfer(t *testing.T)      { transferTest(t, 1024) }
 func TestRendezvousTransfer(t *testing.T) { transferTest(t, 256<<10) }
 func TestThresholdBoundary(t *testing.T) {
-	transferTest(t, DefaultRendezvousThreshold-1)
-	transferTest(t, DefaultRendezvousThreshold)
-	transferTest(t, DefaultRendezvousThreshold+1)
+	transferTest(t, rendezvousThreshold-1)
+	transferTest(t, rendezvousThreshold)
+	transferTest(t, rendezvousThreshold+1)
 }
 
 func TestRendezvousCheaperThanEagerLarge(t *testing.T) {

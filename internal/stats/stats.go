@@ -78,30 +78,17 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 // Model is a parametric model y = f(params, x) for NLLS fitting.
 type Model func(params []float64, x float64) float64
 
-// LMOptions tunes the Levenberg–Marquardt solver.
-type LMOptions struct {
-	MaxIter int     // default 200
-	Tol     float64 // relative SSR improvement to declare convergence; default 1e-10
-	Lambda0 float64 // initial damping; default 1e-3
-}
-
-func (o LMOptions) withDefaults() LMOptions {
-	if o.MaxIter == 0 {
-		o.MaxIter = 200
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-10
-	}
-	if o.Lambda0 == 0 {
-		o.Lambda0 = 1e-3
-	}
-	return o
-}
+// The Levenberg–Marquardt solver's tuning.
+const (
+	lmMaxIter = 200
+	lmTol     = 1e-10 // relative SSR improvement to declare convergence
+	lmLambda0 = 1e-3  // initial damping
+)
 
 // LevenbergMarquardt minimizes Σ(y_i − f(p, x_i))² starting from p0 and
 // returns the fitted parameters and the final sum of squared residuals.
 // The Jacobian is computed by central finite differences.
-func LevenbergMarquardt(f Model, x, y, p0 []float64, opts LMOptions) ([]float64, float64, error) {
+func LevenbergMarquardt(f Model, x, y, p0 []float64) ([]float64, float64, error) {
 	if len(x) != len(y) {
 		return nil, 0, errors.New("stats: x/y length mismatch")
 	}
@@ -111,10 +98,9 @@ func LevenbergMarquardt(f Model, x, y, p0 []float64, opts LMOptions) ([]float64,
 	if !finite(x, y, p0) {
 		return nil, 0, errNonFinite
 	}
-	opts = opts.withDefaults()
 	p := append([]float64(nil), p0...)
 	np := len(p)
-	lambda := opts.Lambda0
+	lambda := lmLambda0
 
 	ssr := func(params []float64) float64 {
 		var s float64
@@ -131,7 +117,7 @@ func LevenbergMarquardt(f Model, x, y, p0 []float64, opts LMOptions) ([]float64,
 		return nil, 0, errors.New("stats: model produced non-finite residuals at p0")
 	}
 
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < lmMaxIter; iter++ {
 		// Jacobian (len(x) × np) and residuals.
 		jac := make([][]float64, len(x))
 		res := make([]float64, len(x))
@@ -186,7 +172,7 @@ func LevenbergMarquardt(f Model, x, y, p0 []float64, opts LMOptions) ([]float64,
 				cur = tssr
 				lambda = math.Max(lambda/10, 1e-12)
 				improved = true
-				if rel < opts.Tol {
+				if rel < lmTol {
 					return p, cur, nil
 				}
 				break

@@ -18,7 +18,7 @@ func TestLMRecoversExponential(t *testing.T) {
 		x = append(x, v)
 		y = append(y, f(truth, v))
 	}
-	p, ssr, err := LevenbergMarquardt(f, x, y, []float64{1, 1}, LMOptions{})
+	p, ssr, err := LevenbergMarquardt(f, x, y, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestLMGammaShapedFit(t *testing.T) {
 		x = append(x, c)
 		y = append(y, f(truth, c)*(1+rng.NormFloat64()*0.01))
 	}
-	p, _, err := LevenbergMarquardt(f, x, y, []float64{1, 1, 1}, LMOptions{})
+	p, _, err := LevenbergMarquardt(f, x, y, []float64{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestLMGammaShapedFit(t *testing.T) {
 
 func TestLMFewerSamplesThanParams(t *testing.T) {
 	f := func(p []float64, x float64) float64 { return p[0] + p[1]*x + p[2]*x*x }
-	if _, _, err := LevenbergMarquardt(f, []float64{1, 2}, []float64{1, 2}, []float64{0, 0, 0}, LMOptions{}); err == nil {
+	if _, _, err := LevenbergMarquardt(f, []float64{1, 2}, []float64{1, 2}, []float64{0, 0, 0}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -99,14 +99,14 @@ func TestFittersRejectNonFinite(t *testing.T) {
 	good := []float64{1, 2, 3}
 	lin := func(p []float64, x float64) float64 { return p[0] + p[1]*x }
 	for _, b := range bad {
-		if _, _, err := LevenbergMarquardt(lin, b, good, []float64{0, 1}, LMOptions{}); err == nil {
+		if _, _, err := LevenbergMarquardt(lin, b, good, []float64{0, 1}); err == nil {
 			t.Errorf("LM(x=%v) accepted non-finite x", b)
 		}
-		if _, _, err := LevenbergMarquardt(lin, good, b, []float64{0, 1}, LMOptions{}); err == nil {
+		if _, _, err := LevenbergMarquardt(lin, good, b, []float64{0, 1}); err == nil {
 			t.Errorf("LM(y=%v) accepted non-finite y", b)
 		}
 	}
-	if _, _, err := LevenbergMarquardt(lin, good, good, []float64{math.NaN(), 1}, LMOptions{}); err == nil {
+	if _, _, err := LevenbergMarquardt(lin, good, good, []float64{math.NaN(), 1}); err == nil {
 		t.Error("LM accepted a NaN start parameter")
 	}
 }
@@ -115,7 +115,7 @@ func TestFittersRejectNonFinite(t *testing.T) {
 // return p0 with a NaN SSR and a nil error.
 func TestLMNonFiniteModel(t *testing.T) {
 	blowup := func(p []float64, x float64) float64 { return math.Log(p[0]) } // p0[0] = -1 -> NaN
-	_, _, err := LevenbergMarquardt(blowup, []float64{1, 2}, []float64{1, 2}, []float64{-1}, LMOptions{})
+	_, _, err := LevenbergMarquardt(blowup, []float64{1, 2}, []float64{1, 2}, []float64{-1})
 	if err == nil {
 		t.Fatal("LM returned nil error for a model that is NaN at p0")
 	}

@@ -98,12 +98,14 @@ type Options struct {
 	// Trace, when non-nil, records every job onto one recorder; lanes
 	// are world-unique (job index × laneStride + rank).
 	Trace *trace.Recorder
-	// MemPerProc overrides the per-rank address-space size.
-	MemPerProc int64
 }
 
-// laneStride separates jobs' trace-lane id ranges.
-const laneStride = 1 << 12
+const (
+	// laneStride separates jobs' trace-lane id ranges.
+	laneStride = 1 << 12
+	// memPerProc is each rank's simulated address-space size.
+	memPerProc = 1 << 30
+)
 
 // JobResult is one job's outcome.
 type JobResult struct {
@@ -149,10 +151,6 @@ func Run(specs []JobSpec, opts Options) (Result, error) {
 	if len(specs) == 0 {
 		return Result{}, fmt.Errorf("workload: empty scenario")
 	}
-	mem := opts.MemPerProc
-	if mem == 0 {
-		mem = 1 << 30
-	}
 	names := map[string]bool{}
 	s := sim.New()
 	host := tenant.NewHost()
@@ -183,7 +181,7 @@ func Run(specs []JobSpec, opts Options) (Result, error) {
 		// distinct lanes when all jobs share one recorder.
 		node.PidBase = (i + 1) << 20
 		node.SetTenant(host.Join(spec.Name))
-		comm := mpi.NewOnNode(node, spec.Ranks, mem)
+		comm := mpi.NewOnNode(node, spec.Ranks, memPerProc)
 		if opts.Trace != nil {
 			node.SetRecorder(opts.Trace)
 			lanes := make([]int, spec.Ranks)

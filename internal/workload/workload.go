@@ -15,41 +15,35 @@ import (
 	"math/rand"
 )
 
+// The trace's machine and job-size distribution.
+const (
+	coresPerNode = 28
+	nodesMu      = 0.35 // log-normal location of node count
+	nodesSigma   = 1.1  // log-normal scale of node count
+)
+
 // Job is one submitted batch job.
 type Job struct {
-	Nodes        int
-	CoresPerNode int
-	Hours        float64
+	Nodes int
+	Hours float64
 }
 
 // CPUHours returns nodes × cores × walltime.
-func (j Job) CPUHours() float64 { return float64(j.Nodes*j.CoresPerNode) * j.Hours }
+func (j Job) CPUHours() float64 { return float64(j.Nodes*coresPerNode) * j.Hours }
 
 // Config tunes the synthetic trace.
 type Config struct {
-	Jobs         int     // number of jobs; 0 = 1e6
-	Seed         int64   // RNG seed
-	CoresPerNode int     // 0 = 28
-	MaxNodes     int     // 0 = 4096
-	Mu           float64 // log-normal location of node count; 0 = 0.35
-	Sigma        float64 // log-normal scale of node count; 0 = 1.1
+	Jobs     int   // number of jobs; 0 = 1e6
+	Seed     int64 // RNG seed
+	MaxNodes int   // 0 = 4096
 }
 
 func (c Config) withDefaults() Config {
 	if c.Jobs == 0 {
 		c.Jobs = 1_000_000
 	}
-	if c.CoresPerNode == 0 {
-		c.CoresPerNode = 28
-	}
 	if c.MaxNodes == 0 {
 		c.MaxNodes = 4096
-	}
-	if c.Mu == 0 {
-		c.Mu = 0.35
-	}
-	if c.Sigma == 0 {
-		c.Sigma = 1.1
 	}
 	return c
 }
@@ -60,7 +54,7 @@ func Generate(cfg Config) []Job {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	jobs := make([]Job, cfg.Jobs)
 	for i := range jobs {
-		n := int(math.Exp(cfg.Mu + cfg.Sigma*rng.NormFloat64()))
+		n := int(math.Exp(nodesMu + nodesSigma*rng.NormFloat64()))
 		if n < 1 {
 			n = 1
 		}
@@ -72,7 +66,7 @@ func Generate(cfg Config) []Job {
 		if hours > 48 {
 			hours = 48
 		}
-		jobs[i] = Job{Nodes: n, CoresPerNode: cfg.CoresPerNode, Hours: hours}
+		jobs[i] = Job{Nodes: n, Hours: hours}
 	}
 	return jobs
 }

@@ -11,7 +11,7 @@ func TestGenerateCount(t *testing.T) {
 		t.Fatalf("generated %d jobs", len(jobs))
 	}
 	for _, j := range jobs {
-		if j.Nodes < 1 || j.Hours <= 0 || j.CoresPerNode != 28 {
+		if j.Nodes < 1 || j.Hours <= 0 || j.CPUHours() != float64(j.Nodes*28)*j.Hours {
 			t.Fatalf("bad job %+v", j)
 		}
 	}
